@@ -11,7 +11,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   core::EnvConfig env_cfg =
@@ -56,4 +56,8 @@ int main(int argc, char** argv) {
              TableWriter::num(s.raw_reward_sum, 1)});
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

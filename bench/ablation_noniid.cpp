@@ -10,7 +10,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   TableWriter out(std::cout);
@@ -54,4 +54,8 @@ int main(int argc, char** argv) {
              TableWriter::num(s.spent, 2)});
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

@@ -9,7 +9,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   TableWriter out(std::cout);
@@ -33,4 +33,8 @@ int main(int argc, char** argv) {
              TableWriter::num(s.total_time, 1)});
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

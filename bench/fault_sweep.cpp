@@ -27,7 +27,7 @@ struct FaultTally {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   TableWriter out(std::cout);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
              std::to_string(tally.late), std::to_string(tally.rejected)});
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   core::EnvConfig env_cfg =
@@ -59,4 +59,8 @@ int main(int argc, char** argv) {
             << late << (late > early ? "  (rising: OK)" : "  (NOT rising)")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

@@ -8,7 +8,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   const std::vector<double> budgets{60, 120, 180, 240, 300};
@@ -29,4 +29,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

@@ -12,7 +12,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   const int nodes = opt.nodes > 0 ? opt.nodes : 100;
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
             << " drl_based=" << d_final
             << "; drl training gain=" << d_gain << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 
 #include "common/error.h"
 #include "common/flags.h"
@@ -11,6 +12,7 @@
 #include "obs/span.h"
 #include "runtime/pipeline.h"
 #include "runtime/runtime.h"
+#include "tensor/gemm.h"
 
 namespace chiron::bench {
 
@@ -32,6 +34,17 @@ double env_double(const char* name, double fallback) {
   return v != nullptr ? std::atof(v) : fallback;
 }
 }  // namespace
+
+int harness_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    tensor::active_isa();
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << (argc > 0 ? argv[0] : "harness") << ": error: " << e.what()
+              << "\n";
+    return 2;
+  }
+}
 
 HarnessOptions read_options() {
   HarnessOptions opt;

@@ -86,6 +86,13 @@ struct HarnessOptions {
   obs::RoundSink* round_sink = nullptr;
 };
 
+/// The top-level handler every bench main runs its body under. An
+/// exception escaping `body` (a bad flag or CHIRON_* value is a
+/// chiron::InvariantError) prints "<program>: error: <what>" on stderr and
+/// exits 2 instead of aborting. The GEMM variant is resolved before `body`
+/// runs, so a bad CHIRON_ISA is reported here and not from a worker.
+int harness_main(int argc, char** argv, int (*body)(int, char**));
+
 /// Reads the CHIRON_* environment overrides on top of the defaults and
 /// sizes the runtime pool (runtime::set_threads) from CHIRON_THREADS so
 /// every harness runs on the pool.

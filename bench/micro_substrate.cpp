@@ -8,10 +8,12 @@
 #include "core/mechanism.h"
 #include "data/synthetic.h"
 #include "fl/federation.h"
+#include "harness_common.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "rl/ppo.h"
 #include "runtime/runtime.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 using namespace chiron;
@@ -28,6 +30,22 @@ static void BM_MatmulSquare(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_MatmulSquare)->Arg(64)->Arg(128)->Arg(256);
+
+// M-row products against a 602×64 weight: the N=100 exterior policy's
+// first layer, which every price_one / PpoAgent::act call runs at M=1.
+// M below the micro-tile's MR takes the unpacked small-M path.
+static void BM_MatmulSmallM(benchmark::State& state) {
+  const std::int64_t m = state.range(0), k = 602, n = 64;
+  Rng rng(5);
+  auto a = tensor::Tensor::uniform({m, k}, rng);
+  auto b = tensor::Tensor::uniform({k, n}, rng);
+  for (auto _ : state) {
+    auto c = tensor::matmul(a, b);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatmulSmallM)->Arg(1)->Arg(4)->Arg(15);
 
 static void BM_Im2col(benchmark::State& state) {
   Rng rng(2);
@@ -212,4 +230,17 @@ static void BM_ChironEpisode(benchmark::State& state) {
 }
 BENCHMARK(BM_ChironEpisode);
 
-BENCHMARK_MAIN();
+static int run(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The GEMM variant this run measured (BENCH_substrate.json context).
+  benchmark::AddCustomContext("chiron_isa",
+                              tensor::isa_name(tensor::active_isa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
+}

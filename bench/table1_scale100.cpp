@@ -9,7 +9,7 @@
 
 using namespace chiron;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   bench::HarnessOptions opt = bench::read_options(argc, argv);
   bench::ObsSession obs_session(opt);
   std::cerr << "[table1] runtime pool: " << runtime::threads()
@@ -32,4 +32,8 @@ int main(int argc, char** argv) {
              TableWriter::num(100.0 * s.mean_time_efficiency, 1) + "%"});
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bench::harness_main(argc, argv, run);
 }

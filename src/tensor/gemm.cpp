@@ -1,9 +1,73 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <cstdlib>
 
+#include "common/error.h"
 #include "runtime/parallel.h"
 #include "runtime/workspace.h"
+#include "tensor/gemm_kernels.h"
+
+namespace chiron::tensor {
+
+namespace {
+
+constexpr const char* kIsaNames[kNumIsas] = {"baseline", "avx2", "avx512"};
+
+Isa startup_isa() {
+  static const Isa isa = [] {
+    const char* raw = std::getenv("CHIRON_ISA");
+    return select_isa(raw != nullptr ? raw : "", host_isas());
+  }();
+  return isa;
+}
+
+// ScopedIsa's override, or -1 for none. Written only while no GEMM runs
+// (see ScopedIsa); parallel_for's task hand-off orders it before any
+// worker's read.
+int g_forced_isa = -1;
+
+}  // namespace
+
+const char* isa_name(Isa isa) { return kIsaNames[static_cast<int>(isa)]; }
+
+IsaSet host_isas() {
+  IsaSet set = isa_bit(Isa::kBaseline);
+#if CHIRON_GEMM_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) set |= isa_bit(Isa::kAvx2);
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f"))
+    set |= isa_bit(Isa::kAvx512);
+#endif
+  return set;
+}
+
+Isa select_isa(std::string_view requested, IsaSet supported) {
+  CHIRON_CHECK_MSG((supported & isa_bit(Isa::kBaseline)) != 0,
+                   "the baseline GEMM variant must always be supported");
+  if (requested.empty()) {
+    for (int i = kNumIsas - 1; i > 0; --i)
+      if ((supported & isa_bit(static_cast<Isa>(i))) != 0)
+        return static_cast<Isa>(i);
+    return Isa::kBaseline;
+  }
+  int found = -1;
+  for (int i = 0; i < kNumIsas; ++i)
+    if (requested == kIsaNames[i]) found = i;
+  CHIRON_CHECK_MSG(found >= 0, "CHIRON_ISA must be baseline, avx2 or avx512, "
+                               "got '" << requested << "'");
+  const Isa isa = static_cast<Isa>(found);
+  CHIRON_CHECK_MSG((supported & isa_bit(isa)) != 0,
+                   "CHIRON_ISA=" << requested
+                                 << " is not supported by this CPU/build");
+  return isa;
+}
+
+Isa active_isa() {
+  return g_forced_isa >= 0 ? static_cast<Isa>(g_forced_isa) : startup_isa();
+}
+
+}  // namespace chiron::tensor
 
 namespace chiron::tensor::detail {
 
@@ -13,97 +77,68 @@ namespace {
 // smaller sections run inline on the caller (same values either way).
 constexpr std::int64_t kDispatchWork = 16384;
 
-// Packs B[pc:pc+kc, jc+jp*NR : ...] into one NR-interleaved panel:
-// dst[kk*NR + j] = B(pc+kk, jc+jp*NR+j), zero-padded past the last column.
-void pack_b_panel(const MatView& b, std::int64_t pc, std::int64_t kc,
-                  std::int64_t col0, std::int64_t ncols, float* dst) {
-  if (b.cs == 1) {  // row-major B: the panel row is a contiguous copy
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      const float* src = b.data + (pc + kk) * b.rs + col0;
-      float* out = dst + kk * kNR;
-      std::int64_t j = 0;
-      for (; j < ncols; ++j) out[j] = src[j];
-      for (; j < kNR; ++j) out[j] = 0.f;
-    }
-    return;
-  }
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* src = b.data + (pc + kk) * b.rs + col0 * b.cs;
-    float* out = dst + kk * kNR;
-    std::int64_t j = 0;
-    for (; j < ncols; ++j) out[j] = src[j * b.cs];
-    for (; j < kNR; ++j) out[j] = 0.f;
-  }
-}
+// Column chunk the small-M path is parallelized over (any chunking gives
+// the same values: columns are independent).
+constexpr std::int64_t kSmallChunk = 256;
 
-// Packs A[row0:row0+nrows, pc:pc+kc] into one MR-interleaved panel:
-// dst[kk*MR + i] = A(row0+i, pc+kk), zero-padded past the last row.
-void pack_a_panel(const MatView& a, std::int64_t pc, std::int64_t kc,
-                  std::int64_t row0, std::int64_t nrows, float* dst) {
-  if (a.rs == 1) {  // transposed-A view: the panel column is contiguous
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      const float* src = a.data + row0 + (pc + kk) * a.cs;
-      float* out = dst + kk * kMR;
-      std::int64_t i = 0;
-      for (; i < nrows; ++i) out[i] = src[i];
-      for (; i < kMR; ++i) out[i] = 0.f;
-    }
-    return;
-  }
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* src = a.data + row0 * a.rs + (pc + kk) * a.cs;
-    float* out = dst + kk * kMR;
-    std::int64_t i = 0;
-    for (; i < nrows; ++i) out[i] = src[i * a.rs];
-    for (; i < kMR; ++i) out[i] = 0.f;
-  }
-}
-
-// The register micro-kernel: acc(MR×NR) += Ap(MR×kc) · Bp(kc×NR) over
-// packed unit-stride panels. The j loop is the vector lane; each acc
-// element is a serial sum over kk, so lane width never changes values.
-inline void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
-                         float* acc) {
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* arow = ap + kk * kMR;
-    const float* brow = bp + kk * kNR;
-    for (int i = 0; i < kMR; ++i) {
-      const float ai = arow[i];
-      float* crow = acc + i * kNR;
-      for (int j = 0; j < kNR; ++j) crow[j] += ai * brow[j];
-    }
-  }
+const Kernels& kernels_for(Isa isa) {
+#if CHIRON_GEMM_X86
+  if (isa == Isa::kAvx512) return isa_avx512::kKernels;
+  if (isa == Isa::kAvx2) return isa_avx2::kKernels;
+#endif
+  return isa_baseline::kKernels;
 }
 
 }  // namespace
+
+int isa_mr(Isa isa) { return kernels_for(isa).mr; }
+
+ScopedIsa::ScopedIsa(Isa isa) : prev_(g_forced_isa) {
+  CHIRON_CHECK_MSG((host_isas() & isa_bit(isa)) != 0,
+                   "GEMM variant " << isa_name(isa)
+                                   << " is not supported by this CPU/build");
+  g_forced_isa = static_cast<int>(isa);
+}
+
+ScopedIsa::~ScopedIsa() { g_forced_isa = prev_; }
 
 void gemm_acc(const MatView& a, const MatView& b, float* c,
               const std::int64_t ldc) {
   const std::int64_t m = a.rows, k = a.cols, n = b.cols;
   if (m == 0 || n == 0 || k == 0) return;
+  const Kernels& kern = kernels_for(active_isa());
 
+  if (m < kern.mr) {
+    // Fewer rows than one MR panel: packing would pad them to a full
+    // panel and repack all of B, so stream B in place instead.
+    runtime::parallel_for(
+        0, (n + kSmallChunk - 1) / kSmallChunk,
+        [&](std::int64_t lo, std::int64_t hi) {
+          kern.small_m(a, b, lo * kSmallChunk,
+                       std::min(n, hi * kSmallChunk), c, ldc);
+        },
+        std::max<std::int64_t>(1, kDispatchWork / (m * k * kSmallChunk)));
+    return;
+  }
+
+  const std::int64_t nr = kern.nr;
   auto& pack_ws = runtime::Workspace::tls();
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nc = std::min(kNC, n - jc);
-    const std::int64_t npanels = (nc + kNR - 1) / kNR;
+    const std::int64_t npanels = (nc + nr - 1) / nr;
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
 
       // Shared packed B strip for this (jc, pc): read-only once built, so
       // every M task can stream it. Panel writes are disjoint.
-      auto bbuf = pack_ws.acquire(
-          static_cast<std::size_t>(npanels * kc * kNR));
+      auto bbuf = pack_ws.acquire(static_cast<std::size_t>(npanels * kc * nr));
       float* bp = bbuf.data();
       runtime::parallel_for(
           0, npanels,
           [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t jp = lo; jp < hi; ++jp) {
-              pack_b_panel(b, pc, kc, jc + jp * kNR,
-                           std::min<std::int64_t>(kNR, nc - jp * kNR),
-                           bp + jp * kc * kNR);
-            }
+            kern.pack_b(b, pc, kc, jc, nc, lo, hi, bp);
           },
-          std::max<std::int64_t>(1, kDispatchWork / (kc * kNR)));
+          std::max<std::int64_t>(1, kDispatchWork / (kc * nr)));
 
       // Parallel over MC row blocks of C: the grid depends only on m, so
       // chunking along it never changes which arithmetic produces a given
@@ -114,35 +149,10 @@ void gemm_acc(const MatView& a, const MatView& b, float* c,
           [&](std::int64_t blo, std::int64_t bhi) {
             auto abuf = runtime::Workspace::tls().acquire(
                 static_cast<std::size_t>(kMC * kc));
-            float* ap = abuf.data();
             for (std::int64_t blk = blo; blk < bhi; ++blk) {
               const std::int64_t i0 = blk * kMC;
-              const std::int64_t mc = std::min(kMC, m - i0);
-              const std::int64_t mpanels = (mc + kMR - 1) / kMR;
-              for (std::int64_t ip = 0; ip < mpanels; ++ip) {
-                pack_a_panel(a, pc, kc, i0 + ip * kMR,
-                             std::min<std::int64_t>(kMR, mc - ip * kMR),
-                             ap + ip * kc * kMR);
-              }
-              // ip outer: the MR×kc A panel stays L1-resident while the
-              // B panels stream past it.
-              for (std::int64_t ip = 0; ip < mpanels; ++ip) {
-                const std::int64_t mr =
-                    std::min<std::int64_t>(kMR, mc - ip * kMR);
-                for (std::int64_t jp = 0; jp < npanels; ++jp) {
-                  const std::int64_t nr =
-                      std::min<std::int64_t>(kNR, nc - jp * kNR);
-                  float acc[kMR * kNR] = {};
-                  micro_kernel(kc, ap + ip * kc * kMR, bp + jp * kc * kNR,
-                               acc);
-                  for (std::int64_t i = 0; i < mr; ++i) {
-                    float* crow =
-                        c + (i0 + ip * kMR + i) * ldc + jc + jp * kNR;
-                    const float* arow = acc + i * kNR;
-                    for (std::int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
-                  }
-                }
-              }
+              kern.block(a, pc, kc, i0, std::min(kMC, m - i0), bp, nc,
+                         abuf.data(), c + jc, ldc);
             }
           },
           std::max<std::int64_t>(1, kDispatchWork / (kMC * kc * nc)));

@@ -12,6 +12,11 @@ An optional `--adversary-tsv <path>` merges the adversary_sweep harness's
 TSV (mechanism regret vs honest runs across adversary fractions, defenses
 off/on) into the summary under the "adversary_sweep" key.
 
+`--before <BENCH_substrate.json>` takes the "current" rows of a trajectory
+regenerated from the previous commit on the same host and records them
+under "before", with "speedup_vs_before" per benchmark: the same-host
+before/after pair a perf change is judged on.
+
 `--build-type <type>` records the CMake build type the benchmarks were
 compiled with. google-benchmark's own `library_build_type` describes the
 *benchmark library*, not this repo's code, and has previously stamped a
@@ -19,8 +24,11 @@ RelWithDebInfo run as "debug"; the explicit flag is authoritative. A
 Debug (or unknown) build type prints a loud warning, because optimized
 and unoptimized timings must never be compared on the same trajectory.
 
+The output context records the host's CPU count and the GEMM variant the
+micro benchmarks ran (`chiron_isa`, see DESIGN.md §5.7).
+
 Usage: bench_reduce.py [--adversary-tsv sweep.tsv] [--build-type T]
-       <raw.json> [...] <baseline.json> <out.json>
+       [--before before.json] <raw.json> [...] <baseline.json> <out.json>
 """
 import json
 import sys
@@ -72,24 +80,40 @@ def read_adversary_tsv(path):
     return rows
 
 
+def speedups(base_rows, current):
+    """real_time ratio base/current per benchmark present in both with the
+    same time unit."""
+    out = {}
+    for name, cur in current.items():
+        base = base_rows.get(name)
+        if base is None or base.get("time_unit") != cur["time_unit"]:
+            continue
+        if cur["real_time"] > 0:
+            out[name] = round(base["real_time"] / cur["real_time"], 3)
+    return out
+
+
+def take_option(args, flag):
+    """Removes `flag <value>` from args and returns the value (None if the
+    flag is absent); exits with usage if the value is missing."""
+    if flag not in args:
+        return None
+    i = args.index(flag)
+    if i + 1 >= len(args):
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    value = args[i + 1]
+    del args[i:i + 2]
+    return value
+
+
 def main() -> int:
     args = sys.argv[1:]
-    adversary_rows = None
-    if "--adversary-tsv" in args:
-        i = args.index("--adversary-tsv")
-        if i + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        adversary_rows = read_adversary_tsv(args[i + 1])
-        del args[i:i + 2]
-    build_type = None
-    if "--build-type" in args:
-        i = args.index("--build-type")
-        if i + 1 >= len(args):
-            print(__doc__, file=sys.stderr)
-            return 2
-        build_type = args[i + 1]
-        del args[i:i + 2]
+    adversary_tsv = take_option(args, "--adversary-tsv")
+    adversary_rows = (read_adversary_tsv(adversary_tsv)
+                      if adversary_tsv is not None else None)
+    build_type = take_option(args, "--build-type")
+    before_path = take_option(args, "--before")
     if len(args) < 3:
         print(__doc__, file=sys.stderr)
         return 2
@@ -122,14 +146,12 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    speedup = {}
-    base_benchmarks = baseline.get("benchmarks", {})
-    for name, cur in current.items():
-        base = base_benchmarks.get(name)
-        if base is None or base.get("time_unit") != cur["time_unit"]:
-            continue
-        if cur["real_time"] > 0:
-            speedup[name] = round(base["real_time"] / cur["real_time"], 3)
+    speedup = speedups(baseline.get("benchmarks", {}), current)
+    before = None
+    if before_path is not None:
+        with open(before_path) as f:
+            prior = json.load(f)
+        before = {"context": prior["context"], "benchmarks": prior["current"]}
 
     context = raws[0]["context"]
     if build_type is None:
@@ -149,12 +171,16 @@ def main() -> int:
             "date": context["date"],
             "host_name": context["host_name"],
             "num_cpus": context["num_cpus"],
+            "chiron_isa": context.get("chiron_isa", "unknown"),
             "build_type": build_type,
         },
         "baseline_pre_pr": baseline,
         "current": current,
         "speedup_vs_pre_pr": speedup,
     }
+    if before is not None:
+        out["before"] = before
+        out["speedup_vs_before"] = speedups(before["benchmarks"], current)
     full = current.get(SCALE_FULL, {}).get("counters", {})
     scaled = current.get(SCALE_SCALED, {}).get("counters", {})
     if "nodes_per_sec" in full and "nodes_per_sec" in scaled:
@@ -197,6 +223,8 @@ def main() -> int:
         line = f"{name:<{width}}  {current[name]['real_time']:14.1f} {current[name]['time_unit']}"
         if name in speedup:
             line += f"  ({speedup[name]:.2f}x vs pre-PR)"
+        if before is not None and name in out["speedup_vs_before"]:
+            line += f"  ({out['speedup_vs_before'][name]:.2f}x vs before)"
         print(line)
     if "scale_10k" in out:
         s = out["scale_10k"]

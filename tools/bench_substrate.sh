@@ -11,6 +11,9 @@
 # never silently poison comparisons again.
 #
 # Usage: tools/bench_substrate.sh [build-dir]      (default: build-bench)
+#   CHIRON_BENCH_BEFORE        a BENCH_substrate.json regenerated from the
+#                              previous commit on this host; its rows are
+#                              kept as "before" (see bench_reduce.py)
 #   CHIRON_BENCH_FILTER        micro_substrate regex (default: trajectory set)
 #   CHIRON_SERVE_BENCH_FILTER  serve_load regex (default: grid + knee ramp)
 #   CHIRON_SCALE_BENCH_FILTER  scale_sweep regex (default: the full sweep)
@@ -20,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-bench}"
 BUILD_TYPE="RelWithDebInfo"
-FILTER="${CHIRON_BENCH_FILTER:-BM_MatmulSquare|BM_Im2col|BM_MnistCnn|BM_ParallelRound|BM_PipelinedRound}"
+FILTER="${CHIRON_BENCH_FILTER:-BM_MatmulSquare|BM_MatmulSmallM|BM_Im2col|BM_MnistCnn|BM_ParallelRound|BM_PipelinedRound}"
 SERVE_FILTER="${CHIRON_SERVE_BENCH_FILTER:-BM_ServeLoad|BM_PriceBatch|BM_ServeKnee}"
 SCALE_FILTER="${CHIRON_SCALE_BENCH_FILTER:-BM_EconRound|BM_FedRound|BM_EnvStep}"
 ADV_EPISODES="${CHIRON_ADV_SWEEP_EPISODES:-120}"
@@ -53,7 +56,12 @@ trap 'rm -f "$RAW" "$SERVE_RAW" "$SCALE_RAW" "$ADV_RAW"' EXIT
   > "$SCALE_RAW"
 CHIRON_EPISODES="$ADV_EPISODES" "$ADV_BIN" > "$ADV_RAW"
 
+BEFORE_ARGS=()
+if [[ -n "${CHIRON_BENCH_BEFORE:-}" ]]; then
+  BEFORE_ARGS=(--before "$CHIRON_BENCH_BEFORE")
+fi
 python3 tools/bench_reduce.py --adversary-tsv "$ADV_RAW" \
-  --build-type "$BUILD_TYPE" "$RAW" "$SERVE_RAW" "$SCALE_RAW" \
+  --build-type "$BUILD_TYPE" "${BEFORE_ARGS[@]}" \
+  "$RAW" "$SERVE_RAW" "$SCALE_RAW" \
   tools/bench_baseline_pre_pr.json BENCH_substrate.json
 echo "bench_substrate: wrote BENCH_substrate.json"

@@ -42,6 +42,7 @@
 #include "runtime/pipeline.h"
 #include "runtime/runtime.h"
 #include "sysmodel/economics.h"
+#include "tensor/gemm.h"
 
 using namespace chiron;
 
@@ -345,6 +346,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     runtime::set_threads(threads_flag(flags));
+    tensor::active_isa();  // a bad CHIRON_ISA fails here, not in a worker
     if (flags.has("pipeline")) runtime::set_pipeline(true);
     ObsScope scope(flags);
     const std::string& cmd = flags.positional().front();

@@ -51,6 +51,7 @@
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "tensor/gemm.h"
 
 using namespace chiron;
 
@@ -299,6 +300,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     runtime::set_threads(threads_flag(flags));
+    tensor::active_isa();  // a bad CHIRON_ISA fails here, not in a worker
     const std::string& cmd = flags.positional().front();
     if (cmd == "init") return cmd_init(flags);
     if (cmd == "gen-script") return cmd_gen_script(flags);
