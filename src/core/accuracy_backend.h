@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,48 +27,31 @@ class AccuracyBackend {
   /// Reinitializes the model; returns the accuracy of the fresh model.
   virtual double reset() = 0;
 
-  /// Runs one aggregation round with the given participants (node ids,
-  /// with `weights` = their data sizes D_i); returns the new accuracy.
-  virtual double train_round(const std::vector<int>& participants,
-                             const std::vector<double>& weights) = 0;
-
-  /// Fault-injected round: `delivery` (aligned with participants) says
-  /// which uploads crash, arrive late, free-ride or are corrupted. The
-  /// default implementation models an always-validating server
-  /// analytically — crashed/late/corrupt uploads are dropped, free-ride
-  /// uploads are delivered with zero data weight (a stale model adds
-  /// nothing), and the survivors train via train_round — which is exact
-  /// for the surrogate. Real backends
-  /// override it to inject the faults into the actual fl:: round so the
-  /// server's deadline/validation defenses run for real. The returned
-  /// per-node statuses are the ground truth for pay-on-delivery.
-  virtual fl::TolerantRoundReport train_round_tolerant(
-      const std::vector<int>& participants,
-      const std::vector<double>& weights,
-      const std::vector<fl::RoundDelivery>& delivery);
-
-  /// Pipeline variant of train_round_tolerant (DESIGN.md §5.14): runs the
-  /// round's training and aggregation, but may defer the test-set
-  /// evaluation to a later finish_round_eval(). `eval` is the CALLER-owned
-  /// job token for this round: the post-aggregate parameter snapshot lands
-  /// there, so a stage thread finishing round k's evaluation never races
-  /// the main thread snapshotting round k+1's. On return `eval_pending`
-  /// says whether the report's accuracy is already final (false — the
-  /// default implementation, which evaluates inline) or a
+  /// Runs one aggregation round over `participants` (node ids, with
+  /// `weights` = their aggregation weights D_i). `delivery` (aligned with
+  /// participants) says which uploads crash, arrive late, free-ride or
+  /// are corrupted; the returned per-participant statuses are the ground
+  /// truth for pay-on-delivery.
+  ///
+  /// The test-set evaluation may be deferred (DESIGN.md §5.14). `eval`
+  /// is the CALLER-owned job token for this round: the post-aggregate
+  /// parameter snapshot lands there, so a stage thread finishing round
+  /// k's evaluation never races the main thread snapshotting round
+  /// k+1's. On return `eval_pending` says whether the report's accuracy
+  /// is already final (false — the analytic surrogate) or a
   /// finish_round_eval(eval) call must complete it (true — the
-  /// real-training backends). While an evaluation is pending the backend's
-  /// accuracy() must not be called: finish_round_eval may run on a stage
-  /// thread.
-  virtual fl::TolerantRoundReport train_round_deferred(
+  /// real-training backends, always). While an evaluation is pending the
+  /// backend's accuracy() must not be called: finish_round_eval may run
+  /// on a stage thread.
+  virtual fl::TolerantRoundReport train(
       const std::vector<int>& participants,
       const std::vector<double>& weights,
       const std::vector<fl::RoundDelivery>& delivery, fl::DeferredEval& eval,
-      bool& eval_pending);
+      bool& eval_pending) = 0;
 
-  /// Completes the evaluation deferred into `eval` by a
-  /// train_round_deferred call and returns the post-round accuracy.
-  /// Callable from a pipeline stage thread; the default just reads
-  /// accuracy().
+  /// Completes the evaluation deferred into `eval` by train() and
+  /// returns the post-round accuracy. Callable from a pipeline stage
+  /// thread; the default just reads accuracy().
   virtual double finish_round_eval(fl::DeferredEval& eval);
 
   virtual double accuracy() const = 0;
@@ -92,8 +76,15 @@ class SurrogateBackend final : public AccuracyBackend {
   SurrogateBackend(SurrogateCurve curve, double total_weight, Rng rng);
 
   double reset() override;
-  double train_round(const std::vector<int>& participants,
-                     const std::vector<double>& weights) override;
+  /// Models an always-validating server analytically: crashed, late and
+  /// corrupt uploads are dropped, a free-ride is delivered with zero data
+  /// weight (a stale model adds nothing), and the survivors' weight
+  /// advances the curve. Never defers its evaluation.
+  fl::TolerantRoundReport train(const std::vector<int>& participants,
+                                const std::vector<double>& weights,
+                                const std::vector<fl::RoundDelivery>& delivery,
+                                fl::DeferredEval& eval,
+                                bool& eval_pending) override;
   double accuracy() const override { return accuracy_; }
 
  private:
@@ -123,77 +114,74 @@ struct RealBackendOptions {
   std::uint64_t probe_seed = 0;
 };
 
-/// Real federated training on one of the synthetic vision tasks.
-class RealVisionBackend final : public AccuracyBackend {
+/// Shared body of the real-training backends: one fl::Federation, rebuilt
+/// from fresh data draws on reset(). Rounds always defer their
+/// evaluation, so a zero-survivor round reads the accuracy cache only in
+/// finish_round_eval.
+class FederatedBackend : public AccuracyBackend {
  public:
-  RealVisionBackend(data::VisionTask task, int num_nodes,
-                    int samples_per_node, int test_samples,
-                    RealBackendOptions options, Rng rng);
-
   double reset() override;
-  double train_round(const std::vector<int>& participants,
-                     const std::vector<double>& weights) override;
-  fl::TolerantRoundReport train_round_tolerant(
-      const std::vector<int>& participants,
-      const std::vector<double>& weights,
-      const std::vector<fl::RoundDelivery>& delivery) override;
-  fl::TolerantRoundReport train_round_deferred(
-      const std::vector<int>& participants,
-      const std::vector<double>& weights,
-      const std::vector<fl::RoundDelivery>& delivery, fl::DeferredEval& eval,
-      bool& eval_pending) override;
+  fl::TolerantRoundReport train(const std::vector<int>& participants,
+                                const std::vector<double>& weights,
+                                const std::vector<fl::RoundDelivery>& delivery,
+                                fl::DeferredEval& eval,
+                                bool& eval_pending) override;
   double finish_round_eval(fl::DeferredEval& eval) override;
   double accuracy() const override { return accuracy_; }
 
- private:
+ protected:
+  FederatedBackend(int num_nodes, RealBackendOptions options, Rng rng);
+
+  /// Draws this episode's train and test sets from `rng`.
+  virtual std::pair<data::Dataset, data::Dataset> make_data(Rng& rng) = 0;
+  virtual fl::ModelFactory model_factory() const = 0;
+
+  /// Builds a fresh federation (data, shards, model) and evaluates it.
+  /// Called by the concrete constructors and by reset().
   void rebuild();
 
-  data::VisionTask task_;
   int num_nodes_;
-  int samples_per_node_;
-  int test_samples_;
+
+ private:
   RealBackendOptions options_;
   Rng rng_;
   std::unique_ptr<fl::Federation> federation_;
   double accuracy_ = 0.0;
 };
 
+/// Real federated training on one of the synthetic vision tasks.
+class RealVisionBackend final : public FederatedBackend {
+ public:
+  RealVisionBackend(data::VisionTask task, int num_nodes,
+                    int samples_per_node, int test_samples,
+                    RealBackendOptions options, Rng rng);
+
+ private:
+  std::pair<data::Dataset, data::Dataset> make_data(Rng& rng) override;
+  fl::ModelFactory model_factory() const override;
+
+  data::VisionTask task_;
+  int samples_per_node_;
+  int test_samples_;
+};
+
 /// Real federated training on Gaussian blobs with an MLP — the fast
 /// real-training mode used by tests and the convergence example.
-class RealBlobsBackend final : public AccuracyBackend {
+class RealBlobsBackend final : public FederatedBackend {
  public:
   RealBlobsBackend(int num_nodes, int samples_per_node, int test_samples,
                    int dims, int classes, double noise,
                    RealBackendOptions options, Rng rng);
 
-  double reset() override;
-  double train_round(const std::vector<int>& participants,
-                     const std::vector<double>& weights) override;
-  fl::TolerantRoundReport train_round_tolerant(
-      const std::vector<int>& participants,
-      const std::vector<double>& weights,
-      const std::vector<fl::RoundDelivery>& delivery) override;
-  fl::TolerantRoundReport train_round_deferred(
-      const std::vector<int>& participants,
-      const std::vector<double>& weights,
-      const std::vector<fl::RoundDelivery>& delivery, fl::DeferredEval& eval,
-      bool& eval_pending) override;
-  double finish_round_eval(fl::DeferredEval& eval) override;
-  double accuracy() const override { return accuracy_; }
-
  private:
-  void rebuild();
+  std::pair<data::Dataset, data::Dataset> make_data(Rng& rng) override;
+  fl::ModelFactory model_factory() const override;
 
-  int num_nodes_;
   int samples_per_node_;
   int test_samples_;
   int dims_;
   int classes_;
   double noise_;
-  RealBackendOptions options_;
-  Rng rng_;
-  std::unique_ptr<fl::Federation> federation_;
-  double accuracy_ = 0.0;
 };
 
 }  // namespace chiron::core

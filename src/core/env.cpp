@@ -55,37 +55,13 @@ const EnvMetricIds& env_metrics() {
 
 /// Aborted-round contract (see StepResult in env.h): a fresh result with
 /// done/aborted set and accuracy frozen — every other field stays at its
-/// zero default. Built centrally so neither step path can leak partial
-/// round state (offline counts, a populated outcome) into an abort.
+/// zero default, so no partial round state (offline counts, a populated
+/// outcome) can leak into an abort.
 StepResult make_aborted_result(double frozen_accuracy) {
   StepResult res;
   res.done = true;
   res.aborted = true;
-  res.reward_exterior = 0.0;
-  res.reward_inner = 0.0;
-  res.raw_exterior_reward = 0.0;
-  res.round_time = 0.0;
   res.accuracy = frozen_accuracy;
-  res.accuracy_gain = 0.0;
-  res.payment = 0.0;
-  res.idle_time = 0.0;
-  res.time_efficiency = 0.0;
-  res.participants = 0;
-  res.offline = 0;
-  res.delivered = 0;
-  res.crashed = 0;
-  res.late = 0;
-  res.rejected = 0;
-  res.lightweight = 0;
-  res.screened = 0;
-  res.flagged = 0;
-  res.departed = 0;
-  res.rejoined = 0;
-  res.freeriding = 0;
-  res.misreporting = 0;
-  res.clawed_back = 0.0;
-  res.forfeited_total = 0.0;
-  res.outcome = sysmodel::RoundOutcome{};
   return res;
 }
 
@@ -190,23 +166,10 @@ StepResult EdgeLearnEnv::step(const std::vector<double>& prices) {
   CHIRON_CHECK_MSG(!pending_.valid,
                    "step() with a pipelined round in flight; drain() first");
   obs::Span round_span(obs::Phase::kRound);
-
-  CommitOut c = commit_round(prices);
-  if (c.aborted) {
-    const StepResult aborted = make_aborted_result(last_accuracy_);
-    emit_round(aborted,
-               std::accumulate(c.effective_prices.begin(),
-                               c.effective_prices.end(), 0.0),
-               c.p_posted, c.effective_prices, budget_remaining_,
-               total_clawed_back_, forfeited_total_, round_ + 1);
-    return aborted;
-  }
-  bool eval_pending = false;
-  fl::DeferredEval eval;
-  const fl::TolerantRoundReport rep = backend_->train_round_deferred(
-      c.participants, c.weights, c.delivery, eval, eval_pending);
-  pending_ = settle_round(std::move(c), rep, eval_pending);
-  pending_.eval = std::move(eval);
+  PipelinedStep out;
+  PendingRound settled = play_round(prices, out);
+  if (out.aborted) return out.abort;
+  pending_ = std::move(settled);
   if (pending_.eval_pending)
     pending_.res.accuracy = backend_->finish_round_eval(pending_.eval);
   return finalize_pending();
@@ -218,48 +181,16 @@ EdgeLearnEnv::PipelinedStep EdgeLearnEnv::step_pipelined(
                    "step_pipelined() on a finished episode; call reset()");
   CHIRON_CHECK(static_cast<int>(prices.size()) == config_.num_nodes);
   obs::Span round_span(obs::Phase::kRound);
-  PipelinedStep out;
-
-  // Commit round k against the settled budget: round k-1 settled (and its
-  // escrow cleared) before the call that committed it returned, so the
-  // overdraw rule sees exactly the budget step() would.
-  CommitOut c = commit_round(prices);
-  if (c.aborted) {
-    // Record order is part of the byte-identity contract: finalize round
-    // k-1 first (joining its eval, which also moves last_accuracy_ to the
-    // value the abort freezes), then write the abort record.
-    if (pending_.valid) {
-      if (pipeline_ != nullptr) pipeline_->join();
-      out.prev = finalize_pending();
-      out.prev_valid = true;
-    }
-    out.aborted = true;
-    out.abort = make_aborted_result(last_accuracy_);
-    emit_round(out.abort,
-               std::accumulate(c.effective_prices.begin(),
-                               c.effective_prices.end(), 0.0),
-               c.p_posted, c.effective_prices, budget_remaining_,
-               total_clawed_back_, forfeited_total_, round_ + 1);
-    return out;
-  }
-
-  // Train round k on this thread while round k-1's deferred evaluation
+  // Round k trains on this thread while round k-1's deferred evaluation
   // runs on the stage thread (they touch disjoint state: the stage task
   // only reads its frozen parameter snapshot and writes pending_.res).
-  bool eval_pending = false;
-  fl::DeferredEval eval;
-  const fl::TolerantRoundReport rep = backend_->train_round_deferred(
-      c.participants, c.weights, c.delivery, eval, eval_pending);
-  PendingRound settled = settle_round(std::move(c), rep, eval_pending);
-  settled.eval = std::move(eval);
+  PipelinedStep out;
+  PendingRound settled = play_round(prices, out);
+  if (out.aborted) return out;
 
   // Hand-off point: join round k-1's eval, finalize it, then install
   // round k as the new in-flight round and submit its evaluation.
-  if (pending_.valid) {
-    if (pipeline_ != nullptr) pipeline_->join();
-    out.prev = finalize_pending();
-    out.prev_valid = true;
-  }
+  finish_prev(out);
   pending_ = std::move(settled);
   if (pending_.eval_pending) {
     if (pipeline_ == nullptr)
@@ -277,150 +208,69 @@ StepResult EdgeLearnEnv::drain() {
   return finalize_pending();
 }
 
+void EdgeLearnEnv::finish_prev(PipelinedStep& out) {
+  if (!pending_.valid) return;
+  if (pipeline_ != nullptr) pipeline_->join();
+  out.prev = finalize_pending();
+  out.prev_valid = true;
+}
+
+EdgeLearnEnv::PendingRound EdgeLearnEnv::play_round(
+    const std::vector<double>& prices, PipelinedStep& out) {
+  // Commit round k against the settled budget: round k-1 settled (and its
+  // escrow cleared) before the call that committed it returned, so the
+  // overdraw rule sees exactly the budget a sequential step would.
+  CommitOut c = commit_round(prices);
+  if (c.aborted) {
+    // Record order is part of the byte-identity contract: finalize round
+    // k-1 first (joining its eval, which also moves last_accuracy_ to the
+    // value the abort freezes), then write the abort record.
+    finish_prev(out);
+    out.aborted = true;
+    out.abort = make_aborted_result(last_accuracy_);
+    emit_round(out.abort,
+               std::accumulate(c.effective_prices.begin(),
+                               c.effective_prices.end(), 0.0),
+               c.p_posted, c.effective_prices, budget_remaining_,
+               total_clawed_back_, forfeited_total_, round_ + 1);
+    return {};
+  }
+  bool eval_pending = false;
+  fl::DeferredEval eval;
+  const fl::TolerantRoundReport rep = backend_->train(
+      c.participants, c.weights, c.delivery, eval, eval_pending);
+  PendingRound settled = settle_round(std::move(c), rep, eval_pending);
+  settled.eval = std::move(eval);
+  return settled;
+}
+
 EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_round(
     const std::vector<double>& prices) {
-  if (adversary_active()) return commit_adversarial(prices);
-  if (config_.faults.any() || config_.round_deadline > 0.0)
-    return commit_faulty(prices);
-  return commit_honest(prices);
-}
-
-EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_honest(
-    const std::vector<double>& prices) {
-  CommitOut c;
-  c.path = StepPath::kHonest;
-  c.planned_round = round_;
-  c.p_posted = std::accumulate(prices.begin(), prices.end(), 0.0);
-  c.budget_checkpoint = budget_remaining_;
-  // Availability extension: an offline node never sees the posted price,
-  // which is equivalent to posting it a zero price (no payment, counted as
-  // fully idle by Eqns 15–16).
-  c.effective_prices = prices;
-  if (config_.node_availability < 1.0) {
-    for (auto& p : c.effective_prices) {
-      if (!rng_.bernoulli(config_.node_availability)) {
-        p = 0.0;
-        ++c.res.offline;
-      }
-    }
-  }
-  // The SoA economics plane evaluates the whole market in batched column
-  // passes — bit-identical to sysmodel::run_round (plane_test pins it)
-  // but O(N)-vectorized and allocation-free in steady state.
-  c.promised = plane_->run_round(c.effective_prices, batch_);
-
-  // Paper §V-A: if paying this round would overdraw the budget, the round
-  // is discarded (no training, no recording) and learning stops.
-  if (c.promised.total_payment > budget_remaining_) {
-    done_ = true;
-    c.aborted = true;
-    return c;
-  }
-  // Escrow debit: the whole promised total leaves the spendable budget at
-  // commit. Settle returns whatever honest non-delivery releases (on this
-  // fault-free path: nothing — every promise is honored).
-  budget_remaining_ -= c.promised.total_payment;
-  escrow_outstanding_ = c.promised.total_payment;
-  ++round_;
-
-  for (std::size_t i = 0; i < c.promised.nodes.size(); ++i) {
-    if (!c.promised.nodes[i].participates) continue;
-    c.participants.push_back(static_cast<int>(i));
-    c.weights.push_back(devices_[i].data_bits);
-  }
-  // Default (fault-free) delivery: train_round_deferred with all-clear
-  // deliveries is exactly train_round on the same participants.
-  c.delivery.assign(c.participants.size(), fl::RoundDelivery{});
-  return c;
-}
-
-EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_faulty(
-    const std::vector<double>& prices) {
-  // The fault-tolerant round (DESIGN.md "Fault model & tolerance"):
-  //   1. draw this round's fault schedule (deterministic in seed/round/node),
-  //   2. run the market on the promised (fault-free) terms,
-  //   3. train with faults injected; the server's defenses decide delivery,
-  //   4. settle the economics: pay-on-delivery, deadline-cut round time.
-  // The overdraw-abort rule stays on the *promised* payment — the mechanism
-  // commits to the round before knowing who will fail, and realized payment
-  // never exceeds promised, so the budget still never overdraws.
-  CommitOut c;
-  c.path = StepPath::kFaulty;
-  c.planned_round = round_;
-  c.p_posted = std::accumulate(prices.begin(), prices.end(), 0.0);
-  c.budget_checkpoint = budget_remaining_;
-  const std::vector<faults::FaultEvent> events =
-      fault_plan_->plan_round(round_);
-
-  // Persistent outages behave exactly like unavailable nodes: the posted
-  // price never reaches them. Availability draws follow for the rest.
-  c.effective_prices = prices;
-  for (std::size_t i = 0; i < c.effective_prices.size(); ++i) {
-    if (events[i].down) {
-      c.effective_prices[i] = 0.0;
-      ++c.res.offline;
-    } else if (config_.node_availability < 1.0 &&
-               !rng_.bernoulli(config_.node_availability)) {
-      c.effective_prices[i] = 0.0;
-      ++c.res.offline;
-    }
-  }
-  c.promised = plane_->run_round(c.effective_prices, batch_);
-
-  if (c.promised.total_payment > budget_remaining_) {
-    done_ = true;
-    c.aborted = true;
-    return c;
-  }
-  // Escrow debit of the full promised total; settle returns the
-  // honest-undelivered part (crashes/stragglers release their escrow).
-  budget_remaining_ -= c.promised.total_payment;
-  escrow_outstanding_ = c.promised.total_payment;
-  ++round_;
-
-  // Per-participant delivery outlook. A crash wins over lateness (the
-  // upload never exists to be late); corruption only matters if the upload
-  // arrives at all.
-  c.realized_times.assign(c.promised.nodes.size(), 0.0);
-  for (std::size_t i = 0; i < c.promised.nodes.size(); ++i) {
-    const sysmodel::NodeDecision& nd = c.promised.nodes[i];
-    if (!nd.participates) continue;
-    const faults::FaultEvent& e = events[i];
-    c.realized_times[i] = sysmodel::realized_node_time(
-        nd, e.slowdown, config_.round_deadline);
-    fl::RoundDelivery d;
-    d.crash = e.crash;
-    const double full_time = nd.compute_time * e.slowdown + nd.comm_time;
-    d.late = config_.round_deadline > 0.0 && full_time > config_.round_deadline;
-    d.corruption = e.corruption;
-    c.participants.push_back(static_cast<int>(i));
-    c.weights.push_back(devices_[i].data_bits);
-    c.delivery.push_back(d);
-  }
-  return c;
-}
-
-EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
-    const std::vector<double>& prices) {
-  // Adversarial round (DESIGN.md §5.11), a superset of the fault-tolerant
-  // pay-on-delivery round:
+  // One round of the market (DESIGN.md §5.6, §5.11). Faults and
+  // adversaries only add per-node columns to it; with every knob off it
+  // is the paper's round.
   //   1. draw this round's adversary and fault schedules,
-  //   2. rejoin churned nodes (fresh profiles) / silence away+down nodes,
+  //   2. rejoin churned nodes (fresh profiles) / silence away, down and
+  //      unavailable nodes,
   //   3. reserve-price screening on *reported* costs,
-  //   4. strategic market: misreporters bill the honest frequency while
-  //      running their inflated-cost response,
-  //   5. overdraw-abort on the promised (claimed) payment,
-  //   6. train with faults + free-rides; reputation scales the weights,
-  //   7. settle: audits forfeit flagged payments, realize pay-on-delivery,
-  //   8. reputation EMA update on observed outcomes.
+  //   4. the promised market: misreporters bill the honest frequency
+  //      while running their inflated-cost response,
+  //   5. overdraw-abort on the promised payment, escrow debit,
+  //   6. training inputs: delivery outlook and reputation-scaled weights.
   CommitOut c;
-  c.path = StepPath::kAdversarial;
   c.planned_round = round_;
   c.p_posted = std::accumulate(prices.begin(), prices.end(), 0.0);
   c.budget_checkpoint = budget_remaining_;
-  c.adv = adversary_plan_->plan_round(c.planned_round);
-  const std::vector<faults::FaultEvent> events =
-      fault_plan_->plan_round(c.planned_round);
+  const bool strategic = adversary_active();
+  // Each schedule is drawn only while its knobs are on: an inert draw
+  // yields all-clear events at the cost of one stream per node.
+  if (strategic) c.adv = adversary_plan_->plan_round(c.planned_round);
+  std::vector<faults::FaultEvent> events;
+  if (config_.faults.any()) events = fault_plan_->plan_round(c.planned_round);
+  const auto misreport = [&c](std::size_t i) {
+    return !c.adv.empty() && c.adv[i].adversarial ? c.adv[i].misreport_factor
+                                                   : 1.0;
+  };
 
   // Rejoining nodes return with resampled hardware before prices are
   // interpreted; the resample is keyed on (node, profile_version) so the
@@ -431,24 +281,23 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
                             c.adv[i].profile_version, static_cast<int>(i)));
     devices_[i] = sysmodel::sample_device(
         config_.population, config_.data_bits_per_node, dev_rng);
+    plane_->set_device(i, devices_[i]);
     ++c.res.rejoined;
   }
 
   // Away (churned) and down (persistent-outage) nodes never see the
-  // posted price; availability draws follow for the rest.
+  // posted price — equivalent to posting them a zero price (no payment,
+  // counted as fully idle by Eqns 15–16). Availability draws follow for
+  // the rest.
   c.effective_prices = prices;
   for (std::size_t i = 0; i < c.effective_prices.size(); ++i) {
-    if (c.adv[i].away) {
+    const bool away = !c.adv.empty() && c.adv[i].away;
+    if (away || (!events.empty() && events[i].down) ||
+        (config_.node_availability < 1.0 &&
+         !rng_.bernoulli(config_.node_availability))) {
       c.effective_prices[i] = 0.0;
       ++c.res.offline;
-      ++c.res.departed;
-    } else if (events[i].down) {
-      c.effective_prices[i] = 0.0;
-      ++c.res.offline;
-    } else if (config_.node_availability < 1.0 &&
-               !rng_.bernoulli(config_.node_availability)) {
-      c.effective_prices[i] = 0.0;
-      ++c.res.offline;
+      if (away) ++c.res.departed;
     }
   }
 
@@ -457,31 +306,32 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
   if (config_.defense.reserve_price > 0.0) {
     for (std::size_t i = 0; i < c.effective_prices.size(); ++i) {
       if (c.effective_prices[i] <= 0.0) continue;
-      const double factor =
-          c.adv[i].adversarial ? c.adv[i].misreport_factor : 1.0;
       if (adversary::reported_floor_payment(adversary::reported_profile(
-              devices_[i], factor)) > config_.defense.reserve_price) {
+              devices_[i], misreport(i))) > config_.defense.reserve_price) {
         c.effective_prices[i] = 0.0;
         ++c.res.screened;
       }
     }
   }
 
-  // Strategic market. misreported_response(factor=1) is exactly the
-  // honest best response, so honest nodes are untouched.
-  std::vector<sysmodel::NodeDecision> decisions;
-  decisions.reserve(devices_.size());
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const double factor = c.adv[i].adversarial ? c.adv[i].misreport_factor
-                                               : 1.0;
-    decisions.push_back(sysmodel::misreported_response(
-        devices_[i], c.effective_prices[i], config_.local_epochs, factor));
+  // The promised market on the SoA plane: one batched best-response pass
+  // (bit-identical to sysmodel::best_response, plane_test pins it), then
+  // the misreporters' rows are patched. misreported_response(f = 1) is
+  // exactly best_response, so only f > 1 rows need the scalar call.
+  plane_->best_response_batch(c.effective_prices, batch_);
+  for (std::size_t i = 0; i < c.adv.size(); ++i) {
+    const double f = misreport(i);
+    if (f > 1.0)
+      batch_.set(i, sysmodel::misreported_response(
+                        devices_[i], c.effective_prices[i],
+                        config_.local_epochs, f));
   }
-  c.promised = sysmodel::aggregate_round(std::move(decisions));
+  c.promised = plane_->to_outcome(batch_, plane_->aggregate_round(batch_));
 
-  // Overdraw-abort on the promised (claimed) payment, as on the faulty
-  // path: the server commits before knowing who delivers, and settle only
-  // ever shrinks the realized total.
+  // Paper §V-A: if paying this round would overdraw the budget, the round
+  // is discarded (no training, no recording) and learning stops. The rule
+  // reads the *promised* payment — the server commits before knowing who
+  // delivers, and settle only ever shrinks the realized total.
   if (c.promised.total_payment > budget_remaining_) {
     done_ = true;
     c.aborted = true;
@@ -494,29 +344,43 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
   escrow_outstanding_ = c.promised.total_payment;
   ++round_;
 
-  // Delivery outlook: faults as on the faulty path, plus free-rides. A
-  // free-rider mimics honest timing (instant uploads would expose it), so
-  // realized times are unchanged; its upload is a stale global model.
-  c.realized_times.assign(c.promised.nodes.size(), 0.0);
+  // Per-participant delivery outlook. A crash wins over lateness (the
+  // upload never exists to be late); corruption only matters if the
+  // upload arrives at all. A free-rider mimics honest timing (instant
+  // uploads would expose it); its upload is a stale global model. Only a
+  // fault or a deadline can move a node off its promised time.
+  const bool timed = !events.empty() || config_.round_deadline > 0.0;
+  if (timed) c.realized_times.assign(c.promised.nodes.size(), 0.0);
+  const auto count = static_cast<std::size_t>(c.promised.participants);
+  c.participants.reserve(count);
+  c.weights.reserve(count);
+  c.delivery.reserve(count);
+  const faults::FaultEvent no_fault;
   for (std::size_t i = 0; i < c.promised.nodes.size(); ++i) {
     const sysmodel::NodeDecision& nd = c.promised.nodes[i];
     if (!nd.participates) continue;
-    const faults::FaultEvent& e = events[i];
-    c.realized_times[i] = sysmodel::realized_node_time(
-        nd, e.slowdown, config_.round_deadline);
     fl::RoundDelivery d;
-    d.crash = e.crash;
-    const double full_time = nd.compute_time * e.slowdown + nd.comm_time;
-    d.late = config_.round_deadline > 0.0 && full_time > config_.round_deadline;
-    d.freeride = c.adv[i].freeride;
-    d.corruption = e.corruption;
-    if (c.adv[i].freeride) ++c.res.freeriding;
-    if (c.adv[i].misreport_factor > 1.0) ++c.res.misreporting;
+    if (timed) {
+      const faults::FaultEvent& e = events.empty() ? no_fault : events[i];
+      c.realized_times[i] = sysmodel::realized_node_time(
+          nd, e.slowdown, config_.round_deadline);
+      d.crash = e.crash;
+      const double full_time = nd.compute_time * e.slowdown + nd.comm_time;
+      d.late =
+          config_.round_deadline > 0.0 && full_time > config_.round_deadline;
+      d.corruption = e.corruption;
+    }
+    double weight = devices_[i].data_bits;
+    if (strategic) {
+      d.freeride = c.adv[i].freeride;
+      if (c.adv[i].freeride) ++c.res.freeriding;
+      if (c.adv[i].misreport_factor > 1.0) ++c.res.misreporting;
+      // Reputation-weighted aggregation: the node's data weight is scaled
+      // by its ledger weight (exactly 1 while the defense is off).
+      weight *= reputation_->weight(static_cast<int>(i));
+    }
     c.participants.push_back(static_cast<int>(i));
-    // Reputation-weighted aggregation: the node's data weight is scaled
-    // by its ledger weight (exactly 1 while the defense is off).
-    c.weights.push_back(devices_[i].data_bits *
-                        reputation_->weight(static_cast<int>(i)));
+    c.weights.push_back(weight);
     c.delivery.push_back(d);
   }
   return c;
@@ -525,71 +389,87 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_adversarial(
 EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
     CommitOut c, const fl::TolerantRoundReport& rep, bool eval_pending) {
   StepResult& res = c.res;
-  if (c.path == StepPath::kHonest) {
-    res.outcome = std::move(c.promised);
-    res.participants = res.outcome.participants;
-    res.delivered = res.outcome.participants;  // fault-free: all uploads land
-  } else {
-    // Pay-on-delivery: only nodes whose upload was actually aggregated earn
-    // their promised p·ζ; everyone else trained for free.
-    std::vector<bool> paid(c.promised.nodes.size(), false);
-    if (c.path == StepPath::kFaulty) {
-      for (std::size_t s = 0; s < c.participants.size(); ++s) {
-        if (rep.status[s] == fl::DeliveryStatus::kDelivered)
-          paid[static_cast<std::size_t>(c.participants[s])] = true;
-      }
-    } else {
-      // Audits on top: a delivered upload is paid unless an audit fires
-      // and catches a free-ride (always unambiguous — the upload is a
-      // byte-copy of the model the server handed out) or a cost report
-      // inflated beyond the tolerance. A flagged payment is forfeited —
-      // it left the budget at commit and never comes back.
-      for (std::size_t s = 0; s < c.participants.size(); ++s) {
-        const std::size_t i = static_cast<std::size_t>(c.participants[s]);
-        if (rep.status[s] != fl::DeliveryStatus::kDelivered) continue;
-        bool pay = true;
-        if (adversary::audit_fires(config_.defense, c.planned_round,
-                                   c.participants[s])) {
-          const bool caught =
-              c.adv[i].freeride ||
-              c.adv[i].misreport_factor >= config_.defense.audit_tolerance;
-          if (caught) {
-            pay = false;
-            ++res.flagged;
-            res.clawed_back += c.promised.nodes[i].payment;
-          }
-        }
-        paid[i] = pay;
-      }
+  const bool strategic = adversary_active();
+  const std::size_t n = c.promised.nodes.size();
+  // Pay-on-delivery: only nodes whose upload was actually aggregated earn
+  // their promised p·ζ; everyone else trained for free. When every
+  // participant delivered at its promised time and nobody is flagged,
+  // the promised outcome IS the realized one.
+  bool as_promised = rep.delivered == static_cast<int>(c.participants.size());
+  if (!c.realized_times.empty()) {
+    for (int node : c.participants) {
+      const auto i = static_cast<std::size_t>(node);
+      as_promised = as_promised &&
+                    c.realized_times[i] == c.promised.nodes[i].total_time;
     }
-    res.outcome = sysmodel::realize_round(c.promised, c.realized_times, paid);
-    if (c.path == StepPath::kAdversarial) {
-      total_clawed_back_ += res.clawed_back;
-      // Reputation EMA on observed outcomes: clean paid delivery earns 1,
-      // a flagged or failed delivery earns 0; nodes that sat out keep
-      // their score. The server cannot tell a crash from malice — both
-      // cost it a round — so both depress reputation until clean rounds
-      // rebuild it.
-      for (std::size_t s = 0; s < c.participants.size(); ++s) {
-        const int node = c.participants[s];
-        const bool clean = rep.status[s] == fl::DeliveryStatus::kDelivered &&
-                           paid[static_cast<std::size_t>(node)];
-        reputation_->update(node, clean ? 1.0 : 0.0);
-      }
-    }
-    res.participants = res.outcome.participants;
-    res.delivered = rep.delivered;
-    res.crashed = rep.crashed;
-    res.late = rep.late;
-    res.rejected = rep.rejected;
-    res.lightweight = rep.lightweight;
   }
+  std::vector<bool> paid;
+  if (!as_promised || strategic) {
+    paid.assign(n, false);
+    for (std::size_t s = 0; s < c.participants.size(); ++s) {
+      if (rep.status[s] != fl::DeliveryStatus::kDelivered) continue;
+      const auto i = static_cast<std::size_t>(c.participants[s]);
+      // Audits (adversary or defense on): a delivered upload is paid
+      // unless an audit fires and catches a free-ride (always
+      // unambiguous — the upload is a byte-copy of the model the server
+      // handed out) or a cost report inflated beyond the tolerance. A
+      // flagged payment is forfeited — it left the budget at commit and
+      // never comes back.
+      bool pay = true;
+      if (strategic && adversary::audit_fires(config_.defense,
+                                              c.planned_round,
+                                              c.participants[s])) {
+        if (c.adv[i].freeride ||
+            c.adv[i].misreport_factor >= config_.defense.audit_tolerance) {
+          pay = false;
+          ++res.flagged;
+          res.clawed_back += c.promised.nodes[i].payment;
+        }
+      }
+      paid[i] = pay;
+    }
+    as_promised = as_promised && res.flagged == 0;
+  }
+  if (as_promised) {
+    // realize_round would rebuild this outcome (op for op within one
+    // plane chunk). Moving it through keeps the plane's reduction order
+    // at any N and builds no per-node time or pay mask.
+    res.outcome = std::move(c.promised);
+  } else {
+    if (c.realized_times.empty()) {
+      c.realized_times.resize(n);
+      for (std::size_t i = 0; i < n; ++i)
+        c.realized_times[i] = c.promised.nodes[i].total_time;
+    }
+    res.outcome = sysmodel::realize_round(std::move(c.promised),
+                                         c.realized_times, paid);
+  }
+  if (strategic) {
+    total_clawed_back_ += res.clawed_back;
+    // Reputation EMA on observed outcomes: clean paid delivery earns 1,
+    // a flagged or failed delivery earns 0; nodes that sat out keep
+    // their score. The server cannot tell a crash from malice — both
+    // cost it a round — so both depress reputation until clean rounds
+    // rebuild it.
+    for (std::size_t s = 0; s < c.participants.size(); ++s) {
+      const int node = c.participants[s];
+      const bool clean = rep.status[s] == fl::DeliveryStatus::kDelivered &&
+                         paid[static_cast<std::size_t>(node)];
+      reputation_->update(node, clean ? 1.0 : 0.0);
+    }
+  }
+  res.participants = res.outcome.participants;
+  res.delivered = rep.delivered;
+  res.crashed = rep.crashed;
+  res.late = rep.late;
+  res.rejected = rep.rejected;
+  res.lightweight = rep.lightweight;
 
   // Escrow settle from the commit checkpoint: realized payments leave for
-  // good, the honest-undelivered escrow returns, and audit forfeitures
-  // move to the non-spendable ledger instead of returning. The checkpoint
-  // form keeps clawback-free rounds bit-identical to the single debit the
-  // env used to apply (b − R), and drains clawbacks on top ((b − R) − C).
+  // good, the undelivered escrow returns, and audit forfeitures move to
+  // the non-spendable ledger instead of returning. The checkpoint form
+  // keeps clawback-free rounds bit-identical to a single debit (b − R),
+  // and drains clawbacks on top ((b − R) − C).
   budget_remaining_ = c.budget_checkpoint - res.outcome.total_payment;
   if (res.clawed_back > 0.0) {
     budget_remaining_ -= res.clawed_back;

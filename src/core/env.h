@@ -62,14 +62,13 @@ struct EnvConfig {
 
   /// Mid-round fault injection (crash / straggler / corrupt-upload, see
   /// src/faults). All probabilities default to zero = the paper model.
-  /// When any is non-zero the round runs the fault-tolerant pipeline:
-  /// pay-on-delivery (crashed/late/rejected nodes earn nothing and don't
-  /// drain η), realized times, and StepResult delivery counts.
+  /// Every round pays on delivery (crashed/late/rejected nodes earn
+  /// nothing and don't drain η); faults add the schedule that makes
+  /// nodes crash, straggle or corrupt their uploads.
   faults::FaultConfig faults;
   /// Server round deadline in seconds; uploads arriving later are
-  /// discarded (their nodes unpaid). 0 = no deadline (paper model). A
-  /// deadline alone also engages the fault-tolerant pipeline — naturally
-  /// slow nodes can miss it even without injected stragglers.
+  /// discarded (their nodes unpaid). 0 = no deadline (paper model).
+  /// Naturally slow nodes can miss it even without injected stragglers.
   double round_deadline = 0.0;
   /// L2 norm bound of the server's upload validation (real backends);
   /// <= 0 keeps only the all-finite check.
@@ -77,9 +76,8 @@ struct EnvConfig {
 
   /// Strategic node behavior (cost misreporting, free-riding, churn; see
   /// src/adversary). All knobs default to zero/off = the honest market.
-  /// When the adversary or any defense is active the round runs the
-  /// adversarial pipeline (step_adversarial), a superset of the
-  /// fault-tolerant one.
+  /// When the adversary or any defense is active each round also draws
+  /// the adversary schedule, and settle audits and updates reputations.
   adversary::AdversaryConfig adversary;
   /// Mechanism-side defenses (reserve-price screening, delivered-accuracy
   /// audits with clawback, reputation-weighted aggregation). All off by
@@ -124,7 +122,7 @@ struct EnvConfig {
 /// every other field at its zero default (no payment, no participants, no
 /// offline count, empty `outcome`). The discarded round never happened
 /// economically, so nothing about it may leak into metrics or histories;
-/// env_test.cpp pins this for both the fault-free and faulty paths.
+/// env_test.cpp pins this with and without faults.
 struct StepResult {
   bool done = false;
   bool aborted = false;        // payment would overdraw: round discarded
@@ -141,14 +139,14 @@ struct StepResult {
   int participants = 0;
   int offline = 0;                 // nodes unavailable this round (includes
                                    // persistent fault outages)
-  // Fault-tolerant pipeline: realized delivery of this round. With no
-  // faults configured every participant delivers.
+  // Realized delivery of this round (pay-on-delivery). With no faults
+  // configured every valid upload delivers.
   int delivered = 0;               // uploads aggregated (and paid)
   int crashed = 0;                 // mid-round crashes: upload never arrived
   int late = 0;                    // missed the round deadline
   int rejected = 0;                // failed the server's upload validation
   int lightweight = 0;             // delivered stats-only nodes (replica cap)
-  // Adversarial pipeline (all zero on the honest/fault-only paths).
+  // Adversary and defenses (all zero while their knobs are off).
   int screened = 0;      // priced out by reserve-price screening
   int flagged = 0;       // delivered but audited and caught: payment clawed
   int departed = 0;      // churned away this round (counted in offline too)
@@ -257,16 +255,11 @@ class EdgeLearnEnv {
   std::vector<double> equal_time_proportions(double total_price) const;
 
  private:
-  /// Which round pipeline a committed round runs on; decided once per
-  /// step from the config, exactly as the old step dispatch did.
-  enum class StepPath { kHonest, kFaulty, kAdversarial };
-
   /// Everything the commit phase hands to the train and settle phases:
   /// the partially filled result (offline/screening/churn counts), the
   /// promised market, and the training inputs derived from it. On an
   /// overdraw `aborted` is set and nothing was debited.
   struct CommitOut {
-    StepPath path = StepPath::kHonest;
     bool aborted = false;
     StepResult res;
     std::vector<double> effective_prices;
@@ -274,8 +267,10 @@ class EdgeLearnEnv {
     std::vector<int> participants;
     std::vector<double> weights;
     std::vector<fl::RoundDelivery> delivery;
+    /// Realized per-node times; empty when no fault or deadline can move
+    /// a node off its promised time.
     std::vector<double> realized_times;
-    std::vector<adversary::AdversaryEvent> adv;  // adversarial path only
+    std::vector<adversary::AdversaryEvent> adv;  // empty unless active
     int planned_round = 0;   // round index the schedules were drawn for
     double p_posted = 0.0;   // Σ raw posted prices (the exterior action)
     double budget_checkpoint = 0.0;  // budget before the escrow debit
@@ -290,7 +285,7 @@ class EdgeLearnEnv {
     bool eval_pending = false;  // a stage-thread eval fills res.accuracy
     /// This round's deferred-eval job (frozen post-aggregate snapshot).
     /// Owned here — NOT by the backend — so the stage thread finishing
-    /// round k never races round k+1's train_round_deferred call.
+    /// round k never races round k+1's train() call.
     fl::DeferredEval eval;
     StepResult res;
     double p_total = 0.0;   // Σ effective (market) prices
@@ -302,29 +297,41 @@ class EdgeLearnEnv {
     int round = 0;
   };
 
-  /// Commit phase: draws this round's schedules, runs the (promised)
-  /// market, applies the overdraw-abort rule against the settled budget,
+  /// Commit phase: draws this round's schedules (each only while its
+  /// knobs are on), rejoins churned nodes, zeroes the prices of away,
+  /// down and unavailable nodes, screens, runs the promised market on the
+  /// plane, applies the overdraw-abort rule against the settled budget,
   /// debits the promised total into escrow and derives the training
-  /// inputs. Dispatches on the same condition ladder step() always had.
+  /// inputs.
   CommitOut commit_round(const std::vector<double>& prices);
-  CommitOut commit_honest(const std::vector<double>& prices);
-  CommitOut commit_faulty(const std::vector<double>& prices);
-  CommitOut commit_adversarial(const std::vector<double>& prices);
 
-  /// Settle phase: resolves pay-on-delivery (and audits/reputation on the
-  /// adversarial path), re-settles the budget from the commit checkpoint
-  /// (realized + forfeited leave; honest-undelivered escrow returns),
+  /// Settle phase: pays on delivery (with audits while the adversary or
+  /// a defense is active), re-settles the budget from the commit
+  /// checkpoint (realized + forfeited leave; undelivered escrow returns),
   /// pushes history and decides `done`. Returns the pending round; its
   /// accuracy is final iff eval_pending is false.
   PendingRound settle_round(CommitOut c, const fl::TolerantRoundReport& rep,
                             bool eval_pending);
+
+  /// The shared round body of step() and step_pipelined(): commit, train
+  /// and settle round k into the returned pending round. On an overdraw
+  /// it instead finalizes the in-flight round k-1 (if any) into
+  /// `out.prev`, writes the abort record, fills `out.abort` and returns
+  /// an invalid round.
+  PendingRound play_round(const std::vector<double>& prices,
+                          PipelinedStep& out);
+
+  /// Joins the in-flight round's evaluation and finalizes it into
+  /// `out.prev`; no-op when nothing is in flight.
+  void finish_prev(PipelinedStep& out);
 
   /// Finalize phase: consumes pending_ (whose accuracy must be final),
   /// computes the accuracy gain and rewards, and emits metrics + the
   /// round record from the captured settle-time values.
   StepResult finalize_pending();
 
-  /// True when step() routes rounds through the adversarial commit; also
+  /// True when the adversary or any defense is on: commit draws the
+  /// adversary schedule and settle audits and updates reputations. Also
   /// gates the adversary fields of the round log (zero-knob runs keep
   /// emitting byte-identical records).
   bool adversary_active() const {
@@ -346,8 +353,8 @@ class EdgeLearnEnv {
   /// Profiles as sampled at construction; reset() restores them so churn
   /// resamples from an identical market every episode.
   std::vector<sysmodel::DeviceProfile> base_devices_;
-  /// SoA economics plane over devices_ (honest + faulty promised market;
-  /// DESIGN.md §5.12) and its reusable per-round decision scratch.
+  /// SoA economics plane over devices_ (the promised market of every
+  /// round; DESIGN.md §5.12) and its reusable per-round decision scratch.
   std::unique_ptr<sysmodel::EconomicsPlane> plane_;
   sysmodel::DecisionBatch batch_;
   std::unique_ptr<AccuracyBackend> backend_;

@@ -1,6 +1,7 @@
 #include "sysmodel/economics.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -151,15 +152,17 @@ double realized_node_time(const NodeDecision& node, double slowdown,
   return deadline > 0.0 ? std::min(t, deadline) : t;
 }
 
-RoundOutcome realize_round(const RoundOutcome& promised,
+RoundOutcome realize_round(RoundOutcome promised,
                            const std::vector<double>& realized_times,
                            const std::vector<bool>& paid) {
   CHIRON_CHECK(promised.nodes.size() == realized_times.size());
   CHIRON_CHECK(promised.nodes.size() == paid.size());
-  RoundOutcome out;
-  out.nodes = promised.nodes;
-  out.participants = promised.participants;
-  out.total_energy = promised.total_energy;  // compute happened either way
+  // Participants and energy carry over (compute happened either way);
+  // time, payment and the Eqn (15)/(16) aggregates are recomputed.
+  RoundOutcome out = std::move(promised);
+  out.round_time = 0.0;
+  out.total_payment = 0.0;
+  out.idle_time = 0.0;
   for (std::size_t i = 0; i < out.nodes.size(); ++i) {
     NodeDecision& d = out.nodes[i];
     if (!d.participates) {

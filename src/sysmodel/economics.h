@@ -63,8 +63,9 @@ RoundOutcome run_round(const std::vector<DeviceProfile>& devices,
 
 /// Folds per-node decisions (one per device, in node order) into a
 /// RoundOutcome — the aggregation tail of run_round, exposed so callers
-/// that mix honest and strategic responses (the adversarial market) share
-/// the exact Eqn (15)/(16) accumulation order with the honest path.
+/// that mix honest and strategic responses share its exact Eqn (15)/(16)
+/// accumulation order (EconomicsPlane::aggregate_round replays it for
+/// populations within one reduction chunk).
 RoundOutcome aggregate_round(std::vector<NodeDecision> nodes);
 
 /// Strategic response of a node that misreports its cost parameters by
@@ -87,15 +88,16 @@ NodeDecision misreported_response(const DeviceProfile& device, double price,
 double realized_node_time(const NodeDecision& node, double slowdown,
                           double deadline);
 
-/// Pay-on-delivery view of a faulted round. `realized_times[i]` is node
+/// Pay-on-delivery view of a round. `realized_times[i]` is node
 /// i's realized wall-clock (realized_node_time; 0 for non-participants)
 /// and `paid[i]` marks the nodes whose upload was delivered and accepted.
 /// Returns a RoundOutcome whose round time, idle time and Eqn-(16)
 /// efficiency are recomputed over the realized times, and whose payments
 /// keep only the delivering nodes — crashed, late and rejected nodes earn
 /// nothing and do not drain the budget. With every participant paid at
-/// its promised time this is exactly the promised outcome.
-RoundOutcome realize_round(const RoundOutcome& promised,
+/// its promised time this is exactly the promised outcome. A caller done
+/// with `promised` moves it in, and the outcome is realized in place.
+RoundOutcome realize_round(RoundOutcome promised,
                            const std::vector<double>& realized_times,
                            const std::vector<bool>& paid);
 

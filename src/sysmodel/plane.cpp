@@ -42,6 +42,19 @@ NodeDecision DecisionBatch::node(std::size_t i) const {
   return d;
 }
 
+void DecisionBatch::set(std::size_t i, const NodeDecision& d) {
+  participates[i] = d.participates ? 1 : 0;
+  price[i] = d.price;
+  zeta[i] = d.zeta;
+  compute_time[i] = d.compute_time;
+  comm_time[i] = d.comm_time;
+  total_time[i] = d.total_time;
+  compute_energy[i] = d.compute_energy;
+  comm_energy[i] = d.comm_energy;
+  utility[i] = d.utility;
+  payment[i] = d.payment;
+}
+
 EconomicsPlane::EconomicsPlane(const std::vector<DeviceProfile>& devices,
                                int local_epochs, std::size_t chunk)
     : local_epochs_(local_epochs), chunk_(chunk) {
@@ -60,24 +73,27 @@ void EconomicsPlane::rebuild(const std::vector<DeviceProfile>& devices) {
   zeta_max_.resize(n);
   comm_time_.resize(n);
   reserve_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DeviceProfile& d = devices[i];
-    // Same association as economics.cpp's energy_coeff: ((sigma*alpha)*c)*d.
-    const double coeff = static_cast<double>(local_epochs_) * d.capacitance *
-                         d.cycles_per_bit * d.data_bits;
-    const double k2 = 2.0 * coeff;
-    CHIRON_CHECK_MSG(k2 > 0.0, "device " << i << " has zero energy coeff");
-    coeff_[i] = coeff;
-    k2_[i] = k2;
-    // Eqn (6) numerator, associated as ((sigma*c)*d) like best_response.
-    t_num_[i] = static_cast<double>(local_epochs_) * d.cycles_per_bit *
-                d.data_bits;
-    e_com_[i] = d.comm_energy_rate * d.comm_time;
-    zeta_min_[i] = d.zeta_min;
-    zeta_max_[i] = d.zeta_max;
-    comm_time_[i] = d.comm_time;
-    reserve_[i] = d.reserve_utility;
-  }
+  for (std::size_t i = 0; i < n; ++i) set_device(i, devices[i]);
+}
+
+void EconomicsPlane::set_device(std::size_t i, const DeviceProfile& d) {
+  CHIRON_CHECK_MSG(i < num_nodes(),
+                   "node " << i << " vs plane " << num_nodes());
+  // Same association as economics.cpp's energy_coeff: ((sigma*alpha)*c)*d.
+  const double coeff = static_cast<double>(local_epochs_) * d.capacitance *
+                       d.cycles_per_bit * d.data_bits;
+  const double k2 = 2.0 * coeff;
+  CHIRON_CHECK_MSG(k2 > 0.0, "device " << i << " has zero energy coeff");
+  coeff_[i] = coeff;
+  k2_[i] = k2;
+  // Eqn (6) numerator, associated as ((sigma*c)*d) like best_response.
+  t_num_[i] = static_cast<double>(local_epochs_) * d.cycles_per_bit *
+              d.data_bits;
+  e_com_[i] = d.comm_energy_rate * d.comm_time;
+  zeta_min_[i] = d.zeta_min;
+  zeta_max_[i] = d.zeta_max;
+  comm_time_[i] = d.comm_time;
+  reserve_[i] = d.reserve_utility;
 }
 
 void EconomicsPlane::best_response_batch(const std::vector<double>& prices,

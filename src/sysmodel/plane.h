@@ -72,6 +72,10 @@ struct DecisionBatch {
   /// Materializes node i as the scalar struct (exactly the fields
   /// best_response would have produced).
   NodeDecision node(std::size_t i) const;
+
+  /// Overwrites node i's row with a scalar decision (the inverse of
+  /// node(i)); used to patch rows a batched pass cannot compute.
+  void set(std::size_t i, const NodeDecision& d);
 };
 
 /// Round aggregates without the per-node AoS payload — the scalar
@@ -100,6 +104,10 @@ class EconomicsPlane {
   /// Recomputes the constant columns from a (possibly mutated) device
   /// vector of the same or different size.
   void rebuild(const std::vector<DeviceProfile>& devices);
+
+  /// Recomputes node i's constants after its profile changed (churn
+  /// rejoin): the row then equals what rebuild() would have produced.
+  void set_device(std::size_t i, const DeviceProfile& device);
 
   /// Batched Eqn (11) best response: out column j of node i is
   /// bit-identical to best_response(devices[i], prices[i]).field j.

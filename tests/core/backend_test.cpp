@@ -17,6 +17,19 @@ std::vector<double> equal_weights(int n, double w = 1.0) {
   return std::vector<double>(static_cast<std::size_t>(n), w);
 }
 
+// One round in which every upload arrives, through the backend's single
+// train entry, with its (possibly deferred) evaluation completed.
+double train_round(AccuracyBackend& b, const std::vector<int>& participants,
+                   const std::vector<double>& weights) {
+  fl::DeferredEval eval;
+  bool eval_pending = false;
+  const fl::TolerantRoundReport rep =
+      b.train(participants, weights,
+              std::vector<fl::RoundDelivery>(participants.size()), eval,
+              eval_pending);
+  return eval_pending ? b.finish_round_eval(eval) : rep.accuracy;
+}
+
 TEST(SurrogateBackend, StartsNearA0) {
   Rng rng(1);
   SurrogateBackend b({0.1, 0.99, 0.2, 0.0}, 5.0, rng);
@@ -29,7 +42,7 @@ TEST(SurrogateBackend, FullParticipationSaturates) {
   b.reset();
   double acc = 0;
   for (int k = 0; k < 60; ++k)
-    acc = b.train_round(all_nodes(5), equal_weights(5));
+    acc = train_round(b, all_nodes(5), equal_weights(5));
   EXPECT_NEAR(acc, 0.9, 0.02);
 }
 
@@ -38,7 +51,7 @@ TEST(SurrogateBackend, MonotoneWithoutNoise) {
   SurrogateBackend b({0.1, 0.95, 0.2, 0.0}, 5.0, rng);
   double prev = b.reset();
   for (int k = 0; k < 20; ++k) {
-    const double acc = b.train_round(all_nodes(5), equal_weights(5));
+    const double acc = train_round(b, all_nodes(5), equal_weights(5));
     EXPECT_GE(acc, prev - 1e-12);
     prev = acc;
   }
@@ -52,8 +65,8 @@ TEST(SurrogateBackend, MoreParticipationLearnsFaster) {
   partial.reset();
   double acc_full = 0, acc_partial = 0;
   for (int k = 0; k < 10; ++k) {
-    acc_full = full.train_round(all_nodes(5), equal_weights(5));
-    acc_partial = partial.train_round({0, 1}, equal_weights(2));
+    acc_full = train_round(full, all_nodes(5), equal_weights(5));
+    acc_partial = train_round(partial, {0, 1}, equal_weights(2));
   }
   EXPECT_GT(acc_full, acc_partial + 0.05);
 }
@@ -62,7 +75,7 @@ TEST(SurrogateBackend, EmptyRoundIsNoop) {
   Rng rng(5);
   SurrogateBackend b({0.1, 0.95, 0.2, 0.0}, 5.0, rng);
   const double a0 = b.reset();
-  EXPECT_DOUBLE_EQ(b.train_round({}, {}), a0);
+  EXPECT_DOUBLE_EQ(train_round(b, {}, {}), a0);
 }
 
 TEST(SurrogateBackend, DiminishingReturns) {
@@ -72,7 +85,7 @@ TEST(SurrogateBackend, DiminishingReturns) {
   double prev = 0.1;
   double first_gain = -1, late_gain = -1;
   for (int k = 0; k < 30; ++k) {
-    const double acc = b.train_round(all_nodes(5), equal_weights(5));
+    const double acc = train_round(b, all_nodes(5), equal_weights(5));
     const double gain = acc - prev;
     if (k == 0) first_gain = gain;
     if (k == 29) late_gain = gain;
@@ -95,7 +108,7 @@ TEST(SurrogateBackend, ResetRestartsCurve) {
   Rng rng(7);
   SurrogateBackend b({0.1, 0.95, 0.3, 0.0}, 5.0, rng);
   b.reset();
-  for (int k = 0; k < 10; ++k) b.train_round(all_nodes(5), equal_weights(5));
+  for (int k = 0; k < 10; ++k) train_round(b, all_nodes(5), equal_weights(5));
   EXPECT_GT(b.accuracy(), 0.5);
   EXPECT_NEAR(b.reset(), 0.1, 0.05);
 }
@@ -110,7 +123,7 @@ TEST(RealBlobsBackend, TrainingImprovesAccuracy) {
   const double a0 = b.reset();
   double acc = a0;
   for (int k = 0; k < 6; ++k)
-    acc = b.train_round(all_nodes(4), equal_weights(4, 50.0));
+    acc = train_round(b, all_nodes(4), equal_weights(4, 50.0));
   EXPECT_GT(acc, a0 + 0.15);
 }
 
@@ -123,7 +136,7 @@ TEST(RealBlobsBackend, ResetReinitializes) {
   RealBlobsBackend b(3, 40, 80, 8, 4, 0.6, options, rng);
   b.reset();
   for (int k = 0; k < 5; ++k)
-    b.train_round(all_nodes(3), equal_weights(3, 40.0));
+    train_round(b, all_nodes(3), equal_weights(3, 40.0));
   const double trained = b.accuracy();
   const double fresh = b.reset();
   EXPECT_LT(fresh, trained);
@@ -151,8 +164,8 @@ TEST(RealBlobsBackend, ScalesWithShardTreeAndReplicaBudget) {
   double flat_acc = flat0;
   double acc = a0;
   for (int k = 0; k < 8; ++k) {
-    flat_acc = flat.train_round(all_nodes(6), equal_weights(6, 40.0));
-    acc = b.train_round(all_nodes(6), equal_weights(6, 40.0));
+    flat_acc = train_round(flat, all_nodes(6), equal_weights(6, 40.0));
+    acc = train_round(b, all_nodes(6), equal_weights(6, 40.0));
   }
   EXPECT_GT(acc, a0 + 0.1);  // 4 trainers out of 6 still learn the blobs
   EXPECT_GT(flat_acc, flat0 + 0.1);
@@ -177,9 +190,9 @@ TEST(SurrogateFidelity, SurrogateTracksRealTrainingShape) {
   std::vector<double> real_curve, sur_curve;
   for (int k = 0; k < 8; ++k) {
     real_curve.push_back(
-        real.train_round(all_nodes(4), equal_weights(4, 50.0)));
+        train_round(real, all_nodes(4), equal_weights(4, 50.0)));
     sur_curve.push_back(
-        sur.train_round(all_nodes(4), equal_weights(4, 1.0)));
+        train_round(sur, all_nodes(4), equal_weights(4, 1.0)));
   }
   // Both saturating: last-3 mean ≥ first-3 mean, gains shrinking.
   auto mean3 = [](const std::vector<double>& v, std::size_t at) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "sysmodel/economics.h"
@@ -365,6 +366,124 @@ TEST(EdgeLearnEnv, RealBlobsBackendEndToEnd) {
   }
   EXPECT_GT(rounds, 0);
   EXPECT_GT(env.accuracy(), a0);
+}
+
+// Real federated training on blobs, small enough for a few rounds.
+EnvConfig blobs_config() {
+  EnvConfig c = small_config();
+  c.backend = BackendKind::kRealBlobs;
+  c.samples_per_node = 30;
+  c.test_samples = 60;
+  c.local.epochs = 2;
+  c.local.batch_size = 10;
+  c.local.lr = 0.05;
+  c.budget = 100.0;
+  return c;
+}
+
+std::vector<double> half_cap_prices(const EdgeLearnEnv& env) {
+  std::vector<double> p;
+  for (int i = 0; i < env.num_nodes(); ++i)
+    p.push_back(0.5 * env.per_node_price_cap(i));
+  return p;
+}
+
+// Bitwise equality of every StepResult field, per-node outcome included.
+void expect_same_result(const StepResult& a, const StepResult& b) {
+  EXPECT_EQ(a.done, b.done);
+  EXPECT_EQ(a.aborted, b.aborted);
+  EXPECT_EQ(a.reward_exterior, b.reward_exterior);
+  EXPECT_EQ(a.reward_inner, b.reward_inner);
+  EXPECT_EQ(a.raw_exterior_reward, b.raw_exterior_reward);
+  EXPECT_EQ(a.round_time, b.round_time);
+  EXPECT_EQ(a.accuracy, b.accuracy);
+  EXPECT_EQ(a.accuracy_gain, b.accuracy_gain);
+  EXPECT_EQ(a.payment, b.payment);
+  EXPECT_EQ(a.idle_time, b.idle_time);
+  EXPECT_EQ(a.time_efficiency, b.time_efficiency);
+  EXPECT_EQ(a.participants, b.participants);
+  EXPECT_EQ(a.offline, b.offline);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.crashed, b.crashed);
+  EXPECT_EQ(a.late, b.late);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.lightweight, b.lightweight);
+  EXPECT_EQ(a.screened, b.screened);
+  EXPECT_EQ(a.flagged, b.flagged);
+  EXPECT_EQ(a.departed, b.departed);
+  EXPECT_EQ(a.rejoined, b.rejoined);
+  EXPECT_EQ(a.freeriding, b.freeriding);
+  EXPECT_EQ(a.misreporting, b.misreporting);
+  EXPECT_EQ(a.clawed_back, b.clawed_back);
+  EXPECT_EQ(a.forfeited_total, b.forfeited_total);
+  EXPECT_EQ(a.outcome.participants, b.outcome.participants);
+  EXPECT_EQ(a.outcome.round_time, b.outcome.round_time);
+  EXPECT_EQ(a.outcome.total_payment, b.outcome.total_payment);
+  EXPECT_EQ(a.outcome.total_energy, b.outcome.total_energy);
+  EXPECT_EQ(a.outcome.idle_time, b.outcome.idle_time);
+  EXPECT_EQ(a.outcome.time_efficiency, b.outcome.time_efficiency);
+  ASSERT_EQ(a.outcome.nodes.size(), b.outcome.nodes.size());
+  for (std::size_t i = 0; i < a.outcome.nodes.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const sysmodel::NodeDecision& x = a.outcome.nodes[i];
+    const sysmodel::NodeDecision& y = b.outcome.nodes[i];
+    EXPECT_EQ(x.participates, y.participates);
+    EXPECT_EQ(x.price, y.price);
+    EXPECT_EQ(x.zeta, y.zeta);
+    EXPECT_EQ(x.compute_time, y.compute_time);
+    EXPECT_EQ(x.comm_time, y.comm_time);
+    EXPECT_EQ(x.total_time, y.total_time);
+    EXPECT_EQ(x.compute_energy, y.compute_energy);
+    EXPECT_EQ(x.comm_energy, y.comm_energy);
+    EXPECT_EQ(x.utility, y.utility);
+    EXPECT_EQ(x.payment, y.payment);
+  }
+}
+
+// The StepResult of the same config's first round with a deadline no
+// node can miss: must match the deadline-free round exactly.
+StepResult first_round_with_idle_deadline(EnvConfig c) {
+  c.round_deadline = 1e9;
+  EdgeLearnEnv env(c);
+  env.reset();
+  return env.step(half_cap_prices(env));
+}
+
+TEST(EdgeLearnEnv, RejectedUploadsAreUnpaidWithoutFaults) {
+  // Pay-on-delivery holds in every round, not only under faults: with a
+  // norm bound no real upload meets, the server rejects every upload, so
+  // nobody is paid and the whole escrow returns to the budget.
+  EnvConfig c = blobs_config();
+  c.upload_norm_bound = 1e-6;
+  EdgeLearnEnv env(c);
+  env.reset();
+  const double budget0 = env.budget_remaining();
+  const StepResult r = env.step(half_cap_prices(env));
+  ASSERT_FALSE(r.aborted);
+  ASSERT_GT(r.participants, 0);
+  EXPECT_EQ(r.payment, 0.0);
+  EXPECT_EQ(r.rejected, r.participants);
+  EXPECT_EQ(r.delivered, 0);
+  EXPECT_EQ(env.budget_remaining(), budget0);
+  for (const sysmodel::NodeDecision& nd : r.outcome.nodes)
+    EXPECT_EQ(nd.payment, 0.0);
+  expect_same_result(r, first_round_with_idle_deadline(c));
+}
+
+TEST(EdgeLearnEnv, ReportsLightweightDeliveries) {
+  // With a replica budget of 2 out of 6 nodes, the other participants
+  // deliver as stats-only nodes; the result carries the backend's count.
+  EnvConfig c = blobs_config();
+  c.num_nodes = 6;
+  c.max_replicas = 2;
+  EdgeLearnEnv env(c);
+  env.reset();
+  const StepResult r = env.step(half_cap_prices(env));
+  ASSERT_FALSE(r.aborted);
+  ASSERT_EQ(r.participants, 6);
+  ASSERT_EQ(r.delivered, 6);
+  EXPECT_EQ(r.lightweight, 4);
+  expect_same_result(r, first_round_with_idle_deadline(c));
 }
 
 }  // namespace

@@ -217,5 +217,29 @@ TEST(EconomicsPlane, RebuildTracksMutatedDevices) {
   }
 }
 
+TEST(EconomicsPlane, RowUpdatesMatchScalar) {
+  // The env refreshes only the rows of rejoined nodes (set_device) and
+  // patches misreporters' decisions into the batch (DecisionBatch::set).
+  TestMarket m = make_market(50, 61);
+  EconomicsPlane plane(m.devices, kSigma);
+  Rng rng(67);
+  for (std::size_t i = 0; i < m.devices.size(); i += 7) {
+    m.devices[i].zeta_max = rng.uniform(1.0e9, 2.0e9);
+    m.devices[i].comm_time = rng.uniform(10.0, 20.0);
+    plane.set_device(i, m.devices[i]);
+  }
+  DecisionBatch batch;
+  plane.best_response_batch(m.prices, batch);
+  for (std::size_t i = 0; i < m.devices.size(); ++i) {
+    expect_node_eq(batch.node(i),
+                   best_response(m.devices[i], m.prices[i], kSigma),
+                   static_cast<int>(i));
+  }
+  const NodeDecision patched =
+      misreported_response(m.devices[2], m.prices[2], kSigma, 1.6);
+  batch.set(2, patched);
+  expect_node_eq(batch.node(2), patched, 2);
+}
+
 }  // namespace
 }  // namespace chiron::sysmodel

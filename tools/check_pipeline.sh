@@ -14,8 +14,8 @@
 #      pipeline unit/env suites — the stage-thread hand-off must be
 #      TSan-clean, not just deterministic by luck.
 #
-# Note: 12 episodes, not fewer — fig3's late-window summary needs at
-# least 10 episodes per approach.
+# Note: 12 episodes keeps fig3's early/late summary windows at their
+# full 10-episode width (shorter runs narrow them).
 #
 # Usage: tools/check_pipeline.sh [build-dir] [tsan-build-dir]
 #        (defaults: build, build-tsan)
