@@ -28,20 +28,17 @@ static int run(int argc, char** argv) {
                           Variant{"oracle_inner", true, false},
                           Variant{"uniform_inner", false, true}}) {
     std::cerr << "[ablation_hierarchy] " << v.name << "\n";
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
     core::ChironConfig cc = bench::make_chiron_config(opt);
     cc.oracle_inner = v.oracle;
     cc.uniform_inner = v.uniform;
-    core::HierarchicalMechanism mech(env, cc);
-    auto eps = mech.train();
-    auto s = mech.evaluate(opt.eval_episodes);
+    const bench::TrainedRun run =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(env_cfg, cc,
+                                                               opt);
+    const core::EpisodeStats& s = run.eval;
     out.row({v.name, TableWriter::num(s.final_accuracy, 4),
              std::to_string(s.rounds),
              TableWriter::num(s.mean_time_efficiency, 4),
-             TableWriter::num(core::mean_raw_reward(eps, eps.size() - 10,
-                                                    eps.size()),
-                              1)});
+             TableWriter::num(bench::tail_reward(run.training), 1)});
   }
   {
     std::cerr << "[ablation_hierarchy] static_oracle\n";

@@ -20,18 +20,19 @@ static int run(int argc, char** argv) {
     core::EnvConfig env_cfg =
         bench::make_market(data::VisionTask::kMnistLike, 5, 80.0, opt);
     env_cfg.history = L;
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    core::HierarchicalMechanism mech(env, bench::make_chiron_config(opt));
-    auto eps = mech.train();
-    auto s = mech.evaluate(opt.eval_episodes);
-    out.row({std::to_string(L), std::to_string(env.exterior_state_dim()),
+    std::int64_t state_dim = 0;
+    const bench::TrainedRun run =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(
+            env_cfg, bench::make_chiron_config(opt), opt,
+            [&](core::HierarchicalMechanism&, core::EdgeLearnEnv& env) {
+              state_dim = env.exterior_state_dim();
+            });
+    const core::EpisodeStats& s = run.eval;
+    out.row({std::to_string(L), std::to_string(state_dim),
              TableWriter::num(s.final_accuracy, 4),
              std::to_string(s.rounds),
              TableWriter::num(s.mean_time_efficiency, 4),
-             TableWriter::num(core::mean_raw_reward(eps, eps.size() - 10,
-                                                    eps.size()),
-                              1)});
+             TableWriter::num(bench::tail_reward(run.training), 1)});
   }
   return 0;
 }

@@ -41,13 +41,12 @@ static int run(int argc, char** argv) {
     env_cfg.noniid = sc.noniid;
     env_cfg.dirichlet_alpha = sc.alpha;
     env_cfg.node_availability = sc.availability;
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
     core::ChironConfig cc = bench::make_chiron_config(opt);
     cc.episodes = std::min(opt.chiron_episodes, 150);  // real training
-    core::HierarchicalMechanism mech(env, cc);
-    mech.train();
-    auto s = mech.evaluate(opt.eval_episodes);
+    const core::EpisodeStats s =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(env_cfg, cc,
+                                                               opt)
+            .eval;
     out.row({sc.name, TableWriter::num(s.final_accuracy, 4),
              std::to_string(s.rounds),
              TableWriter::num(s.mean_time_efficiency, 4),

@@ -21,11 +21,10 @@ static int run(int argc, char** argv) {
     core::EnvConfig env_cfg =
         bench::make_market(data::VisionTask::kMnistLike, 5, 80.0, opt);
     env_cfg.lambda_on_time = lambda_on_time;
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    core::HierarchicalMechanism mech(env, bench::make_chiron_config(opt));
-    mech.train();
-    auto s = mech.evaluate(opt.eval_episodes);
+    const core::EpisodeStats s =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(
+            env_cfg, bench::make_chiron_config(opt), opt)
+            .eval;
     out.row({lambda_on_time ? "eqn14_literal" : "eqn9_consistent",
              TableWriter::num(s.final_accuracy, 4),
              std::to_string(s.rounds),

@@ -13,8 +13,6 @@
 #include <iostream>
 
 #include "common/csv.h"
-#include "core/actions.h"
-#include "core/env.h"
 #include "harness_common.h"
 
 using namespace chiron;
@@ -43,24 +41,16 @@ CellResult eval_cell(core::HierarchicalMechanism& mech,
   env.set_round_sink(sink);
   CellResult r;
   Rng rng(rng_seed);
+  core::HierarchicalMechanism::Policy replay(mech, rng);
   for (int e = 0; e < episodes; ++e) {
-    env.reset();
-    while (!env.done()) {
-      auto ext = mech.exterior_agent().act(env.exterior_state(), rng);
-      const double p_total =
-          core::map_total_price(ext.action[0], env.price_cap());
-      auto inner = mech.inner_agent().act(
-          {static_cast<float>(p_total / env.price_cap())}, rng);
-      auto res = env.step(core::combine_prices(
-          p_total, core::map_proportions(inner.action)));
-      if (res.aborted) break;
+    core::play_episode(env, replay, [&r](const core::StepResult& res) {
       r.utility += res.raw_exterior_reward;
       r.rounds += 1.0;
       r.flagged += res.flagged;
       r.clawed_back += res.clawed_back;
       r.freeriding += res.freeriding;
       r.misreporting += res.misreporting;
-    }
+    });
     r.accuracy += env.accuracy();
     r.spent += cfg.budget - env.budget_remaining();
   }

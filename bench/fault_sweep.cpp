@@ -7,17 +7,14 @@
 #include <iostream>
 
 #include "common/csv.h"
-#include "core/actions.h"
-#include "core/env.h"
 #include "harness_common.h"
 
 using namespace chiron;
 
 namespace {
 
-/// One evaluation episode with delivery accounting (EpisodeStats does not
-/// carry the fault counters; the trace here replays the greedy policy of
-/// mech.evaluate and tallies them).
+/// Delivery accounting of one replayed evaluation episode (EpisodeStats
+/// does not carry the fault counters).
 struct FaultTally {
   int delivered = 0;
   int crashed = 0;
@@ -43,30 +40,22 @@ static int run(int argc, char** argv) {
     env_cfg.faults.persistent_prob = 0.1;
     env_cfg.faults.seed = opt.seed + 40961;
     env_cfg.round_deadline = 150.0;
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    core::HierarchicalMechanism mech(env, bench::make_chiron_config(opt));
-    mech.train();
-    auto s = mech.evaluate(opt.eval_episodes);
-
-    // Replay one deterministic episode for the delivery tally.
+    // After evaluation, replay one seeded episode for the delivery tally.
     FaultTally tally;
-    env.reset();
-    Rng rng(env_cfg.seed + 17);
-    while (!env.done()) {
-      auto ext = mech.exterior_agent().act(env.exterior_state(), rng);
-      const double p_total =
-          core::map_total_price(ext.action[0], env.price_cap());
-      auto inner = mech.inner_agent().act(
-          {static_cast<float>(p_total / env.price_cap())}, rng);
-      auto res = env.step(core::combine_prices(
-          p_total, core::map_proportions(inner.action)));
-      if (res.aborted) break;
-      tally.delivered += res.delivered;
-      tally.crashed += res.crashed;
-      tally.late += res.late;
-      tally.rejected += res.rejected;
-    }
+    const core::EpisodeStats s =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(
+            env_cfg, bench::make_chiron_config(opt), opt,
+            [&](core::HierarchicalMechanism& mech, core::EdgeLearnEnv& env) {
+              Rng rng(env_cfg.seed + 17);
+              core::HierarchicalMechanism::Policy replay(mech, rng);
+              core::play_episode(env, replay, [&](const core::StepResult& r) {
+                tally.delivered += r.delivered;
+                tally.crashed += r.crashed;
+                tally.late += r.late;
+                tally.rejected += r.rejected;
+              });
+            })
+            .eval;
 
     out.row({TableWriter::num(rate, 2), TableWriter::num(s.final_accuracy, 4),
              std::to_string(s.rounds), TableWriter::num(s.spent, 2),

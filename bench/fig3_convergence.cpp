@@ -58,8 +58,7 @@ static int run(int argc, char** argv) {
   const std::size_t window = std::min<std::size_t>(10, episodes.size() / 2);
   if (window == 0) return 0;
   const double early = core::mean_raw_reward(episodes, 0, window);
-  const double late = core::mean_raw_reward(
-      episodes, episodes.size() - window, episodes.size());
+  const double late = bench::tail_reward(episodes, window);
   std::cerr << "[fig3] early-window reward " << early << " -> late-window "
             << late << (late > early ? "  (rising: OK)" : "  (NOT rising)")
             << "\n";

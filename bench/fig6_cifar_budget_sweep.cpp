@@ -1,34 +1,13 @@
 // Fig. 6 — CIFAR-10 counterpart of Fig. 4. The task needs more compute per
 // sample (cycles/bit is doubled in make_market) and therefore larger
 // budgets, as in the paper ("this leads to different budget constraints").
-#include <iostream>
-
-#include "common/csv.h"
 #include "harness_common.h"
 
 using namespace chiron;
 
 static int run(int argc, char** argv) {
-  bench::HarnessOptions opt = bench::read_options(argc, argv);
-  bench::ObsSession obs_session(opt);
-  const std::vector<double> budgets{60, 120, 180, 240, 300};
-  TableWriter out(std::cout);
-  out.header({"budget", "approach", "accuracy", "rounds", "time_efficiency",
-              "spent", "total_time"});
-  for (double budget : budgets) {
-    std::cerr << "[fig6] budget " << budget << "\n";
-    core::EnvConfig env_cfg =
-        bench::make_market(data::VisionTask::kCifarLike, 5, budget, opt);
-    for (const auto& r : bench::compare_approaches(env_cfg, opt)) {
-      out.row({TableWriter::num(budget, 0), r.name,
-               TableWriter::num(r.stats.final_accuracy, 4),
-               std::to_string(r.stats.rounds),
-               TableWriter::num(r.stats.mean_time_efficiency, 4),
-               TableWriter::num(r.stats.spent, 2),
-               TableWriter::num(r.stats.total_time, 1)});
-    }
-  }
-  return 0;
+  return bench::run_budget_sweep(argc, argv, data::VisionTask::kCifarLike,
+                                 {60, 120, 180, 240, 300}, "fig6");
 }
 
 int main(int argc, char** argv) {

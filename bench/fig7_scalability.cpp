@@ -33,13 +33,8 @@ static int run(int argc, char** argv) {
   std::cerr << "[fig7] training DRL-based (" << nodes << " nodes)\n";
   core::EdgeLearnEnv env_d(env_cfg);
   env_d.set_round_sink(opt.round_sink);
-  baselines::SingleDrlConfig dc;
+  baselines::SingleDrlConfig dc = bench::make_drl_config(opt);
   dc.episodes = opt.chiron_episodes;  // same series length as Chiron
-  dc.hidden = 64;
-  dc.actor_lr = 1e-3;
-  dc.critic_lr = 1e-3;
-  dc.update_epochs = 6;
-  dc.seed = opt.seed + 2;
   baselines::SingleAgentDrlMechanism drl(env_d, dc);
   auto drl_eps = drl.train();
   auto drl_series = bench::reward_series(drl_eps);
@@ -55,13 +50,9 @@ static int run(int argc, char** argv) {
   // final reward than the single-agent baseline, whose reward fails to
   // improve over training (Fig 7(b): "cannot converge").
   const std::size_t tail = std::min<std::size_t>(50, n);
-  const double c_final =
-      core::mean_raw_reward(chiron_eps, chiron_eps.size() - tail,
-                            chiron_eps.size());
-  const double d_final =
-      core::mean_raw_reward(drl_eps, drl_eps.size() - tail, drl_eps.size());
-  const double d_gain =
-      d_final - core::mean_raw_reward(drl_eps, 0, tail);
+  const double c_final = bench::tail_reward(chiron_eps, tail);
+  const double d_final = bench::tail_reward(drl_eps, tail);
+  const double d_gain = d_final - core::mean_raw_reward(drl_eps, 0, tail);
   std::cerr << "[fig7] final avg reward: chiron=" << c_final
             << " drl_based=" << d_final
             << "; drl training gain=" << d_gain << "\n";

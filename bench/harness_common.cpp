@@ -1,10 +1,15 @@
 #include "harness_common.h"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <utility>
 
+#include "common/csv.h"
 #include "common/error.h"
 #include "common/flags.h"
 #include "common/stats.h"
@@ -17,22 +22,67 @@
 namespace chiron::bench {
 
 namespace {
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && std::string(v) == "1";
-}
-std::string env_str(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : std::string();
-}
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atof(v) : fallback;
-}
+
+/// Reads each option from its flag, else its CHIRON_* variable, else the
+/// default — through the same checked parsers — and remembers the flag
+/// names it was asked about so the rest can be rejected as unknown.
+class OptionReader {
+ public:
+  explicit OptionReader(const FlagParser& flags) : flags_(flags) {}
+
+  /// The text of --`flag`, else of its variable (--max-replicas ↔
+  /// CHIRON_MAX_REPLICAS) when `env`, with the name to blame for it.
+  std::optional<std::pair<std::string, std::string>> lookup(
+      const std::string& flag, bool env = true) {
+    known_.push_back(flag);
+    if (flags_.has(flag)) return std::make_pair(flags_.get(flag), "--" + flag);
+    std::string var = "CHIRON_" + flag;
+    for (char& c : var) c = c == '-' ? '_' : static_cast<char>(std::toupper(c));
+    const char* v = env ? std::getenv(var.c_str()) : nullptr;
+    if (v == nullptr) return std::nullopt;
+    return std::make_pair(std::string(v), var);
+  }
+
+  /// An integer option; a value below `min` is a named error.
+  int get_int(const std::string& flag, int fallback, int min = INT_MIN) {
+    const auto v = lookup(flag);
+    if (!v) return fallback;
+    const int n = parse_int(v->first, v->second);
+    CHIRON_CHECK_MSG(n >= min,
+                     v->second << " must be >= " << min << ", got " << n);
+    return n;
+  }
+
+  double get_double(const std::string& flag, double fallback) {
+    const auto v = lookup(flag);
+    return v ? parse_double(v->first, v->second) : fallback;
+  }
+
+  std::string get(const std::string& flag) {
+    const auto v = lookup(flag);
+    return v ? v->first : std::string();
+  }
+
+  /// A bare --`flag`, or its variable set to 0 or 1.
+  bool get_switch(const std::string& flag) {
+    const auto v = lookup(flag);
+    if (!v || flags_.has(flag)) return v.has_value();
+    const int on = parse_int(v->first, v->second);
+    CHIRON_CHECK_MSG(on == 0 || on == 1,
+                     v->second << " must be 0 or 1, got " << on);
+    return on == 1;
+  }
+
+  void reject_unknown() const {
+    const auto unknown = flags_.unknown_flags(known_);
+    CHIRON_CHECK_MSG(unknown.empty(), "unknown flag --" << unknown.front());
+  }
+
+ private:
+  const FlagParser& flags_;
+  std::vector<std::string> known_;
+};
+
 }  // namespace
 
 int harness_main(int argc, char** argv, int (*body)(int, char**)) {
@@ -46,90 +96,41 @@ int harness_main(int argc, char** argv, int (*body)(int, char**)) {
   }
 }
 
-HarnessOptions read_options() {
-  HarnessOptions opt;
-  opt.chiron_episodes = env_int("CHIRON_EPISODES", opt.chiron_episodes);
-  opt.drl_episodes = env_int("CHIRON_EPISODES", opt.drl_episodes);
-  opt.greedy_episodes =
-      env_int("CHIRON_EPISODES", 4 * opt.greedy_episodes) / 4;
-  opt.eval_episodes = env_int("CHIRON_EVAL_EPISODES", opt.eval_episodes);
-  opt.real_training = env_flag("CHIRON_REAL_TRAINING");
-  opt.seed = static_cast<std::uint64_t>(env_int("CHIRON_SEED", 97));
-  opt.threads = env_int("CHIRON_THREADS", 0);
-  opt.nodes = env_int("CHIRON_NODES", opt.nodes);
-  opt.shards = env_int("CHIRON_SHARDS", opt.shards);
-  opt.max_replicas = env_int("CHIRON_MAX_REPLICAS", opt.max_replicas);
-  opt.round_log = env_str("CHIRON_ROUND_LOG");
-  opt.metrics_out = env_str("CHIRON_METRICS_OUT");
-  opt.trace_out = env_str("CHIRON_TRACE");
-  opt.adv_fraction = env_double("CHIRON_ADV_FRACTION", opt.adv_fraction);
-  opt.adv_misreport = env_double("CHIRON_ADV_MISREPORT", opt.adv_misreport);
-  opt.adv_freeride = env_double("CHIRON_ADV_FREERIDE", opt.adv_freeride);
-  opt.adv_churn = env_double("CHIRON_ADV_CHURN", opt.adv_churn);
-  opt.reserve_price = env_double("CHIRON_RESERVE_PRICE", opt.reserve_price);
-  opt.audit_prob = env_double("CHIRON_AUDIT_PROB", opt.audit_prob);
-  opt.audit_tolerance =
-      env_double("CHIRON_AUDIT_TOLERANCE", opt.audit_tolerance);
-  opt.reputation_alpha =
-      env_double("CHIRON_REPUTATION_ALPHA", opt.reputation_alpha);
-  // CHIRON_PIPELINE is parsed inside runtime::pipeline_enabled(); the
-  // explicit read here lets the flag override it below.
-  opt.pipeline = runtime::pipeline_enabled();
-  runtime::set_threads(opt.threads);
-  return opt;
-}
-
 HarnessOptions read_options(int argc, const char* const* argv) {
-  HarnessOptions opt = read_options();
-  FlagParser flags(argc, argv);
-  if (flags.has("episodes")) {
-    const int episodes = flags.get_int("episodes", 0);
-    CHIRON_CHECK_MSG(episodes >= 1, "--episodes must be >= 1");
+  HarnessOptions opt;
+  const FlagParser flags(argc, argv);
+  OptionReader in(flags);
+  if (const int episodes = in.get_int("episodes", 0, 1); episodes > 0) {
     opt.chiron_episodes = episodes;
     opt.drl_episodes = episodes;
     opt.greedy_episodes = std::max(1, episodes / 4);
   }
-  opt.eval_episodes = flags.get_int("eval-episodes", opt.eval_episodes);
-  if (flags.has("real-training")) opt.real_training = true;
+  opt.eval_episodes = in.get_int("eval-episodes", opt.eval_episodes, 1);
+  opt.real_training = in.get_switch("real-training");
   opt.seed = static_cast<std::uint64_t>(
-      flags.get_int("seed", static_cast<int>(opt.seed)));
-  opt.round_log = flags.get("round-log", opt.round_log);
-  opt.metrics_out = flags.get("metrics-out", opt.metrics_out);
-  opt.trace_out = flags.get("trace", opt.trace_out);
-  if (flags.has("threads")) {
-    opt.threads = threads_flag(flags);
-    runtime::set_threads(opt.threads);
-  }
-  if (flags.has("pipeline")) {
-    opt.pipeline = true;
-    runtime::set_pipeline(true);
-  }
-  opt.nodes = flags.get_int("nodes", opt.nodes);
-  opt.shards = flags.get_int("shards", opt.shards);
-  opt.max_replicas = flags.get_int("max-replicas", opt.max_replicas);
-  CHIRON_CHECK_MSG(opt.nodes >= 0, "--nodes must be >= 0");
-  CHIRON_CHECK_MSG(opt.shards >= 1, "--shards must be >= 1");
-  CHIRON_CHECK_MSG(opt.max_replicas >= 0, "--max-replicas must be >= 0");
-  opt.adv_fraction = flags.get_double("adv-fraction", opt.adv_fraction);
-  opt.adv_misreport = flags.get_double("adv-misreport", opt.adv_misreport);
-  opt.adv_freeride = flags.get_double("adv-freeride", opt.adv_freeride);
-  opt.adv_churn = flags.get_double("adv-churn", opt.adv_churn);
-  opt.reserve_price = flags.get_double("reserve-price", opt.reserve_price);
-  opt.audit_prob = flags.get_double("audit-prob", opt.audit_prob);
+      in.get_int("seed", static_cast<int>(opt.seed)));
+  opt.threads = in.get_int("threads", opt.threads, 0);  // 0 = auto
+  runtime::set_threads(opt.threads);
+  // CHIRON_PIPELINE is parsed inside runtime::pipeline_enabled().
+  if (in.lookup("pipeline", /*env=*/false)) runtime::set_pipeline(true);
+  opt.pipeline = runtime::pipeline_enabled();
+  opt.nodes = in.get_int("nodes", opt.nodes, 0);
+  opt.shards = in.get_int("shards", opt.shards, 1);
+  opt.max_replicas = in.get_int("max-replicas", opt.max_replicas, 0);
+  opt.round_log = in.get("round-log");
+  opt.metrics_out = in.get("metrics-out");
+  opt.trace_out = in.get("trace");
+  opt.adv_fraction = in.get_double("adv-fraction", opt.adv_fraction);
+  opt.adv_misreport = in.get_double("adv-misreport", opt.adv_misreport);
+  opt.adv_freeride = in.get_double("adv-freeride", opt.adv_freeride);
+  opt.adv_churn = in.get_double("adv-churn", opt.adv_churn);
+  opt.reserve_price = in.get_double("reserve-price", opt.reserve_price);
+  opt.audit_prob = in.get_double("audit-prob", opt.audit_prob);
   opt.audit_tolerance =
-      flags.get_double("audit-tolerance", opt.audit_tolerance);
+      in.get_double("audit-tolerance", opt.audit_tolerance);
   opt.reputation_alpha =
-      flags.get_double("reputation-alpha", opt.reputation_alpha);
-  const auto unknown =
-      flags.unknown_flags({"episodes", "eval-episodes", "real-training",
-                           "seed", "threads", "pipeline", "round-log",
-                           "metrics-out",
-                           "trace", "nodes", "shards", "max-replicas",
-                           "adv-fraction", "adv-misreport",
-                           "adv-freeride", "adv-churn", "reserve-price",
-                           "audit-prob", "audit-tolerance",
-                           "reputation-alpha"});
-  CHIRON_CHECK_MSG(unknown.empty(), "unknown flag --" << unknown.front());
+      in.get_double("reputation-alpha", opt.reputation_alpha);
+  in.reject_unknown();
   return opt;
 }
 
@@ -207,41 +208,55 @@ core::ChironConfig make_chiron_config(const HarnessOptions& opt,
   return c;
 }
 
+baselines::SingleDrlConfig make_drl_config(const HarnessOptions& opt) {
+  baselines::SingleDrlConfig c;
+  c.episodes = opt.drl_episodes;
+  c.hidden = 64;
+  c.actor_lr = 1e-3;
+  c.critic_lr = 1e-3;
+  c.update_epochs = 6;
+  c.seed = opt.seed + 2;
+  return c;
+}
+
 std::vector<ApproachResult> compare_approaches(const core::EnvConfig& env_cfg,
                                                const HarnessOptions& opt) {
-  std::vector<ApproachResult> out;
-  {
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    core::HierarchicalMechanism chiron(env, make_chiron_config(opt));
-    chiron.train();
-    out.push_back({"chiron", chiron.evaluate(opt.eval_episodes)});
+  baselines::GreedyConfig gc;
+  gc.episodes = opt.greedy_episodes;
+  gc.seed = opt.seed + 3;
+  // Braced initializers run in order: Chiron, then DRL-based, then Greedy.
+  return {
+      {"chiron", train_and_evaluate<core::HierarchicalMechanism>(
+                     env_cfg, make_chiron_config(opt), opt)
+                     .eval},
+      {"drl_based", train_and_evaluate<baselines::SingleAgentDrlMechanism>(
+                        env_cfg, make_drl_config(opt), opt)
+                        .eval},
+      {"greedy", train_and_evaluate<baselines::GreedyMechanism>(env_cfg, gc,
+                                                                opt)
+                     .eval}};
+}
+
+int run_budget_sweep(int argc, char** argv, data::VisionTask task,
+                     const std::vector<double>& budgets, const char* tag) {
+  HarnessOptions opt = read_options(argc, argv);
+  ObsSession obs_session(opt);
+  TableWriter out(std::cout);
+  out.header({"budget", "approach", "accuracy", "rounds", "time_efficiency",
+              "spent", "total_time"});
+  for (double budget : budgets) {
+    std::cerr << "[" << tag << "] budget " << budget << "\n";
+    const core::EnvConfig env_cfg = make_market(task, 5, budget, opt);
+    for (const auto& r : compare_approaches(env_cfg, opt)) {
+      out.row({TableWriter::num(budget, 0), r.name,
+               TableWriter::num(r.stats.final_accuracy, 4),
+               std::to_string(r.stats.rounds),
+               TableWriter::num(r.stats.mean_time_efficiency, 4),
+               TableWriter::num(r.stats.spent, 2),
+               TableWriter::num(r.stats.total_time, 1)});
+    }
   }
-  {
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    baselines::SingleDrlConfig dc;
-    dc.episodes = opt.drl_episodes;
-    dc.hidden = 64;
-    dc.actor_lr = 1e-3;
-    dc.critic_lr = 1e-3;
-    dc.update_epochs = 6;
-    dc.seed = opt.seed + 2;
-    baselines::SingleAgentDrlMechanism drl(env, dc);
-    drl.train();
-    out.push_back({"drl_based", drl.evaluate(opt.eval_episodes)});
-  }
-  {
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    baselines::GreedyConfig gc;
-    gc.episodes = opt.greedy_episodes;
-    gc.seed = opt.seed + 3;
-    baselines::GreedyMechanism greedy(env, gc);
-    greedy.train();
-    out.push_back({"greedy", greedy.evaluate(opt.eval_episodes)});
-  }
-  return out;
+  return 0;
 }
 
 std::vector<double> reward_series(
@@ -250,6 +265,12 @@ std::vector<double> reward_series(
   raw.reserve(eps.size());
   for (const auto& e : eps) raw.push_back(e.raw_reward_sum);
   return moving_average(raw, 10);
+}
+
+double tail_reward(const std::vector<core::EpisodeStats>& eps,
+                   std::size_t width) {
+  const std::size_t n = std::min(width, eps.size());
+  return core::mean_raw_reward(eps, eps.size() - n, eps.size());
 }
 
 }  // namespace chiron::bench

@@ -1,42 +1,32 @@
 // Shared configuration and runners for the experiment harnesses.
 //
 // Every harness reproduces one exhibit of the paper's evaluation (§VI).
-// Scale knobs come from the environment so the full paper-scale runs are a
-// variable away:
-//   CHIRON_EPISODES       override DRL training episodes (default: fast)
-//   CHIRON_EVAL_EPISODES  evaluation episodes to average (default 5)
-//   CHIRON_REAL_TRAINING  "1" → real federated CNN training backend
-//                         (paper §VI-A) instead of the calibrated
-//                         surrogate curve; see DESIGN.md §3
-//   CHIRON_SEED           base RNG seed (default 97)
-//   CHIRON_THREADS        runtime pool size; 0 or unset → all hardware
-//                         threads (results are identical either way —
-//                         see DESIGN.md "Runtime & threading model")
-//   CHIRON_PIPELINE       "1" → double-buffered round pipeline (overlap
-//                         eval + PPO update with training; DESIGN.md
-//                         §5.14); byte-identical outputs, faster rounds
-//   CHIRON_ROUND_LOG      path for the structured round log (.jsonl or
-//                         .csv; see DESIGN.md §5.9)
-//   CHIRON_METRICS_OUT    path for the end-of-run metrics JSON snapshot
-//   CHIRON_TRACE          path for the span trace (JSONL)
-//   CHIRON_ADV_FRACTION / CHIRON_ADV_MISREPORT / CHIRON_ADV_FREERIDE /
-//   CHIRON_ADV_CHURN      adversarial-market knobs (DESIGN.md §5.11)
-//   CHIRON_RESERVE_PRICE / CHIRON_AUDIT_PROB / CHIRON_AUDIT_TOLERANCE /
-//   CHIRON_REPUTATION_ALPHA  mechanism defenses; all zero/off by default
-//   CHIRON_NODES          market size override for harnesses that take one
-//                         (0 or unset = harness default)
-//   CHIRON_SHARDS / CHIRON_MAX_REPLICAS  scaling knobs (DESIGN.md §5.12):
-//                         aggregation tree fan-in and the lightweight-node
-//                         replica budget
-//
-// Each harness also accepts the equivalent command-line flags
-// (--round-log, --metrics-out, --trace, --threads, --pipeline, --seed,
-// --episodes, --nodes, --shards, --max-replicas,
-// --adv-fraction, --adv-misreport, --adv-freeride, --adv-churn,
-// --reserve-price, --audit-prob, --audit-tolerance, --reputation-alpha),
-// which take precedence over the environment.
+// Every option is a command-line flag and a CHIRON_* environment variable
+// named after it (--eval-episodes ↔ CHIRON_EVAL_EPISODES). The flag wins;
+// both go through the same checked parsers and range rules, so a
+// malformed value of either is a named error:
+//   --episodes E        DRL training episodes (Greedy: max(1, E/4))
+//   --eval-episodes N   evaluation episodes to average (default 5)
+//   --real-training     real federated CNN training (paper §VI-A) instead
+//                       of the calibrated surrogate (DESIGN.md §3); the
+//                       variable takes 0 or 1
+//   --seed S            base RNG seed (default 97)
+//   --threads T         runtime pool size, 0 = all hardware threads;
+//                       results are identical either way (DESIGN.md §5.5)
+//   --pipeline          double-buffered round pipeline (DESIGN.md §5.14),
+//                       byte-identical outputs; CHIRON_PIPELINE=1
+//   --round-log PATH    structured round log, .jsonl or .csv (§5.9)
+//   --metrics-out PATH  end-of-run metrics JSON snapshot
+//   --trace PATH        span trace (JSONL)
+//   --nodes N           market size where a harness takes one (0 = its own)
+//   --shards S, --max-replicas R  scaling knobs (DESIGN.md §5.12)
+//   --adv-fraction, --adv-misreport, --adv-freeride, --adv-churn
+//                       adversarial-market knobs (DESIGN.md §5.11)
+//   --reserve-price, --audit-prob, --audit-tolerance, --reputation-alpha
+//                       mechanism defenses; all off by default
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,15 +83,9 @@ struct HarnessOptions {
 /// runs, so a bad CHIRON_ISA is reported here and not from a worker.
 int harness_main(int argc, char** argv, int (*body)(int, char**));
 
-/// Reads the CHIRON_* environment overrides on top of the defaults and
-/// sizes the runtime pool (runtime::set_threads) from CHIRON_THREADS so
-/// every harness runs on the pool.
-HarnessOptions read_options();
-
-/// read_options() plus command-line flags, which win over the
-/// environment: --episodes, --eval-episodes, --real-training, --seed,
-/// --threads, --round-log, --metrics-out, --trace. Unknown flags are a
-/// hard error so typos don't silently fall back to defaults.
+/// Reads every option from its flag, else its variable (see the table
+/// above), and sizes the runtime pool. Unknown flags are a hard error so
+/// typos don't silently fall back to defaults.
 HarnessOptions read_options(int argc, const char* const* argv);
 
 /// RAII scope for a harness run's observability: enables the metrics
@@ -139,6 +123,32 @@ core::EnvConfig make_market(data::VisionTask task, int num_nodes,
 core::ChironConfig make_chiron_config(const HarnessOptions& opt,
                                       int num_nodes = 5);
 
+/// DRL-based baseline config for the harnesses (opt.drl_episodes).
+baselines::SingleDrlConfig make_drl_config(const HarnessOptions& opt);
+
+/// What one trained mechanism reports.
+struct TrainedRun {
+  std::vector<core::EpisodeStats> training;  // one entry per episode
+  core::EpisodeStats eval;                   // mean of opt.eval_episodes
+};
+
+/// Builds a fresh market from `env_cfg` with the round log attached,
+/// trains a `Mechanism` built from `config` and evaluates it. `inspect`,
+/// when set, then sees the trained mechanism and its market.
+template <class Mechanism, class Config>
+TrainedRun train_and_evaluate(
+    const core::EnvConfig& env_cfg, const Config& config,
+    const HarnessOptions& opt,
+    const std::function<void(Mechanism&, core::EdgeLearnEnv&)>& inspect =
+        {}) {
+  core::EdgeLearnEnv env(env_cfg);
+  env.set_round_sink(opt.round_sink);
+  Mechanism mech(env, config);
+  TrainedRun run{mech.train(), mech.evaluate(opt.eval_episodes)};
+  if (inspect) inspect(mech, env);
+  return run;
+}
+
 /// Approach rows of the comparison figures.
 struct ApproachResult {
   std::string name;
@@ -149,7 +159,18 @@ struct ApproachResult {
 std::vector<ApproachResult> compare_approaches(const core::EnvConfig& env_cfg,
                                                const HarnessOptions& opt);
 
+/// The Fig. 4/5/6 harness body: for each budget, compare_approaches on a
+/// 5-node `task` market, one TSV row per (budget, approach). `tag`
+/// prefixes the progress lines on stderr.
+int run_budget_sweep(int argc, char** argv, data::VisionTask task,
+                     const std::vector<double>& budgets, const char* tag);
+
 /// Smoothed per-episode reward series (window 10) for convergence plots.
 std::vector<double> reward_series(const std::vector<core::EpisodeStats>& eps);
+
+/// Mean raw reward of the last min(width, n) of n >= 1 training episodes:
+/// the converged end of a training curve, narrowed for short runs.
+double tail_reward(const std::vector<core::EpisodeStats>& eps,
+                   std::size_t width = 10);
 
 }  // namespace chiron::bench

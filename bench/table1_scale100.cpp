@@ -21,11 +21,10 @@ static int run(int argc, char** argv) {
     std::cerr << "[table1] budget " << budget << "\n";
     core::EnvConfig env_cfg =
         bench::make_market(data::VisionTask::kMnistLike, 100, budget, opt);
-    core::EdgeLearnEnv env(env_cfg);
-    env.set_round_sink(opt.round_sink);
-    core::HierarchicalMechanism chiron(env, bench::make_chiron_config(opt, 100));
-    chiron.train();
-    auto s = chiron.evaluate(opt.eval_episodes);
+    const core::EpisodeStats s =
+        bench::train_and_evaluate<core::HierarchicalMechanism>(
+            env_cfg, bench::make_chiron_config(opt, 100), opt)
+            .eval;
     out.row({TableWriter::num(budget, 0),
              TableWriter::num(s.final_accuracy, 3),
              std::to_string(s.rounds),

@@ -28,51 +28,31 @@ const GreedyMechanism::Entry* GreedyMechanism::best_entry() const {
 }
 
 std::vector<EpisodeStats> GreedyMechanism::train(int episodes) {
-  const int n = episodes >= 0 ? episodes : config_.episodes;
-  std::vector<EpisodeStats> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int e = 0; e < n; ++e) out.push_back(run_episode(/*explore=*/true));
-  return out;
+  explore_ = true;
+  return core::run_episodes(env_, *this,
+                            episodes >= 0 ? episodes : config_.episodes);
 }
 
 EpisodeStats GreedyMechanism::evaluate(int episodes) {
-  CHIRON_CHECK(episodes >= 1);
-  std::vector<EpisodeStats> stats;
-  stats.reserve(static_cast<std::size_t>(episodes));
-  for (int e = 0; e < episodes; ++e)
-    stats.push_back(run_episode(/*explore=*/false));
-  return core::mean_stats(stats);
+  explore_ = false;
+  return core::mean_stats(core::run_episodes(env_, *this, episodes));
 }
 
-EpisodeStats GreedyMechanism::run_episode(bool explore) {
-  EpisodeStats stats;
-  env_.reset();
-  while (!env_.done()) {
-    std::vector<double> prices;
-    bool exploring = false;
-    if (explore && (actions_taken_ < config_.seed_actions ||
-                    rng_.bernoulli(config_.epsilon))) {
-      prices = random_prices();
-      exploring = true;
-    } else {
-      const Entry* best = best_entry();
-      if (best == nullptr) {
-        prices = random_prices();
-        exploring = true;
-      } else {
-        prices = best->prices;
-      }
-    }
-    core::StepResult res = env_.step(prices);
-    if (res.aborted) break;
-    accumulate(stats, res);
-    ++actions_taken_;
-    if (exploring) {
-      replay_.push_back({std::move(prices), res.raw_exterior_reward});
-    }
-  }
-  finalize(stats);
-  return stats;
+std::vector<double> GreedyMechanism::act(const EdgeLearnEnv&) {
+  explored_.clear();
+  const bool explore =
+      explore_ && (actions_taken_ < config_.seed_actions ||
+                   rng_.bernoulli(config_.epsilon));
+  const Entry* best = explore ? nullptr : best_entry();
+  if (best != nullptr) return best->prices;
+  explored_ = random_prices();
+  return explored_;
+}
+
+void GreedyMechanism::observe(const core::StepResult& res) {
+  ++actions_taken_;
+  if (!explored_.empty())
+    replay_.push_back({std::move(explored_), res.raw_exterior_reward});
 }
 
 }  // namespace chiron::baselines

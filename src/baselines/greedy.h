@@ -22,7 +22,7 @@ struct GreedyConfig {
   std::uint64_t seed = 13;
 };
 
-class GreedyMechanism {
+class GreedyMechanism : private core::PricingPolicy {
  public:
   GreedyMechanism(EdgeLearnEnv& env, const GreedyConfig& config);
 
@@ -30,7 +30,6 @@ class GreedyMechanism {
   /// Pure exploitation: always plays the best buffered action. Averages
   /// `episodes` rollouts (accuracy noise only; the action is fixed).
   EpisodeStats evaluate(int episodes = 3);
-  EpisodeStats run_episode(bool explore);
 
   std::size_t buffer_size() const { return replay_.size(); }
 
@@ -40,6 +39,10 @@ class GreedyMechanism {
     double reward;
   };
 
+  // Not pipelinable: the replay reward needs round k's result (§5.15).
+  std::vector<double> act(const EdgeLearnEnv& env) override;
+  void observe(const core::StepResult& res) override;
+
   std::vector<double> random_prices();
   const Entry* best_entry() const;
 
@@ -48,6 +51,8 @@ class GreedyMechanism {
   Rng rng_;
   std::vector<Entry> replay_;
   int actions_taken_ = 0;
+  bool explore_ = false;        // train() explores, evaluate() exploits
+  std::vector<double> explored_;  // the posted random action, if any
 };
 
 }  // namespace chiron::baselines

@@ -32,99 +32,74 @@ SingleAgentDrlMechanism::SingleAgentDrlMechanism(
   last_profile_.assign(static_cast<std::size_t>(3 * env.num_nodes()), 0.f);
 }
 
-std::vector<float> SingleAgentDrlMechanism::observation() const {
-  return last_profile_;
-}
-
 std::vector<EpisodeStats> SingleAgentDrlMechanism::train(int episodes) {
-  const int n = episodes >= 0 ? episodes : config_.episodes;
-  std::vector<EpisodeStats> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int e = 0; e < n; ++e)
-    out.push_back(run_episode(/*learn=*/true, /*stochastic=*/true));
-  return out;
+  learn_ = true;
+  return core::run_episodes(env_, *this,
+                            episodes >= 0 ? episodes : config_.episodes);
 }
 
 EpisodeStats SingleAgentDrlMechanism::evaluate(int episodes) {
-  CHIRON_CHECK(episodes >= 1);
-  std::vector<EpisodeStats> stats;
-  stats.reserve(static_cast<std::size_t>(episodes));
-  for (int e = 0; e < episodes; ++e)
-    stats.push_back(run_episode(/*learn=*/false, /*stochastic=*/true));
-  return core::mean_stats(stats);
+  learn_ = false;
+  return core::mean_stats(core::run_episodes(env_, *this, episodes));
 }
 
-EpisodeStats SingleAgentDrlMechanism::run_episode(bool learn,
-                                                  bool stochastic) {
-  EpisodeStats stats;
-  env_.reset();
+void SingleAgentDrlMechanism::begin_episode(const EdgeLearnEnv&) {
   last_profile_.assign(last_profile_.size(), 0.f);
-  const int n = env_.num_nodes();
-  while (!env_.done()) {
-    std::vector<float> obs = observation();
-    rl::ActResult act;
-    if (stochastic) {
-      act = agent_.act(obs, rng_);
-    } else {
-      act.action = agent_.act_mean(obs);
-    }
-    // Per-node price: sigmoid of the raw action scaled by that node's
-    // saturation price.
-    std::vector<double> prices(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      prices[static_cast<std::size_t>(i)] =
-          core::sigmoid(act.action[static_cast<std::size_t>(i)]) *
-          env_.per_node_price_cap(i);
-    }
-    core::StepResult res = env_.step(prices);
-    if (res.aborted) break;
+}
 
+std::vector<double> SingleAgentDrlMechanism::act(const EdgeLearnEnv& env) {
+  rl::ActResult a = agent_.act(last_profile_, rng_);
+  // Per-node price: sigmoid of the raw action scaled by that node's
+  // saturation price.
+  std::vector<double> prices(static_cast<std::size_t>(env.num_nodes()));
+  for (int i = 0; i < env.num_nodes(); ++i) {
+    prices[static_cast<std::size_t>(i)] =
+        core::sigmoid(a.action[static_cast<std::size_t>(i)]) *
+        env.per_node_price_cap(i);
+  }
+  pending_.obs = last_profile_;
+  pending_.action = std::move(a.action);
+  pending_.log_prob = a.log_prob;
+  pending_.value = a.value;
+  return prices;
+}
+
+void SingleAgentDrlMechanism::observe(const core::StepResult& res) {
+  const double time_norm = env_.config().time_norm;
+  if (learn_) {
     // Myopic reward: time + weighted energy, no accuracy, no budget.
-    const double reward =
+    pending_.reward = static_cast<float>(
         -(res.round_time + config_.energy_weight * res.outcome.total_energy) /
-        env_.config().time_norm;
-    accumulate(stats, res);
-    if (learn) {
-      rl::Transition t;
-      t.obs = std::move(obs);
-      t.action = act.action;
-      t.log_prob = act.log_prob;
-      t.reward = static_cast<float>(reward);
-      t.value = act.value;
-      buffer_.add(std::move(t));
-    }
-    // Refresh the myopic observation from the executed round.
-    const double zeta_norm = env_.config().population.zeta_max_hi;
-    const double time_norm = env_.config().time_norm;
-    for (int i = 0; i < n; ++i) {
-      const auto& nd = res.outcome.nodes[static_cast<std::size_t>(i)];
-      const std::size_t base = static_cast<std::size_t>(3 * i);
-      last_profile_[base + 0] = static_cast<float>(nd.zeta / zeta_norm);
-      last_profile_[base + 1] = static_cast<float>(
-          nd.price / std::max(env_.per_node_price_cap(i), 1e-12));
-      last_profile_[base + 2] =
-          static_cast<float>(nd.total_time / time_norm);
-    }
+        time_norm);
+    buffer_.add(std::move(pending_));
   }
-  finalize(stats);
+  // Refresh the myopic observation from the executed round.
+  const double zeta_norm = env_.config().population.zeta_max_hi;
+  for (int i = 0; i < env_.num_nodes(); ++i) {
+    const auto& nd = res.outcome.nodes[static_cast<std::size_t>(i)];
+    const std::size_t base = static_cast<std::size_t>(3 * i);
+    last_profile_[base + 0] = static_cast<float>(nd.zeta / zeta_norm);
+    last_profile_[base + 1] = static_cast<float>(
+        nd.price / std::max(env_.per_node_price_cap(i), 1e-12));
+    last_profile_[base + 2] = static_cast<float>(nd.total_time / time_norm);
+  }
+}
 
-  if (learn) {
-    if (stats.rounds > 0)
-      buffer_.end_episode(config_.gamma, config_.gae_lambda);
-    ++episodes_done_;
-    if (episodes_done_ % std::max(config_.episodes_per_update, 1) == 0) {
-      if (buffer_.size() > 0) {
-        buffer_.finalize(/*normalize=*/true);
-        agent_.update(buffer_);
-      }
-      buffer_.clear();
+void SingleAgentDrlMechanism::end_episode(const EpisodeStats& stats, bool) {
+  if (!learn_) return;
+  if (stats.rounds > 0) buffer_.end_episode(config_.gamma, config_.gae_lambda);
+  ++episodes_done_;
+  if (episodes_done_ % std::max(config_.episodes_per_update, 1) == 0) {
+    if (buffer_.size() > 0) {
+      buffer_.finalize(/*normalize=*/true);
+      agent_.update(buffer_);
     }
-    if (config_.lr_decay_every > 0 &&
-        episodes_done_ % config_.lr_decay_every == 0) {
-      agent_.decay_lr(config_.lr_decay);
-    }
+    buffer_.clear();
   }
-  return stats;
+  if (config_.lr_decay_every > 0 &&
+      episodes_done_ % config_.lr_decay_every == 0) {
+    agent_.decay_lr(config_.lr_decay);
+  }
 }
 
 }  // namespace chiron::baselines

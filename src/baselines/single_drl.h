@@ -37,20 +37,22 @@ struct SingleDrlConfig {
   std::uint64_t seed = 11;
 };
 
-class SingleAgentDrlMechanism {
+class SingleAgentDrlMechanism : private core::PricingPolicy {
  public:
   SingleAgentDrlMechanism(EdgeLearnEnv& env, const SingleDrlConfig& config);
 
   std::vector<EpisodeStats> train(int episodes = -1);
   /// Mean stats over `episodes` stochastic no-learning rollouts.
   EpisodeStats evaluate(int episodes = 5);
-  EpisodeStats run_episode(bool learn, bool stochastic);
 
   rl::PpoAgent& agent() { return agent_; }
 
  private:
-  /// Myopic observation: last round's (ζ, p, T) per node, normalized.
-  std::vector<float> observation() const;
+  // Not pipelinable: the observation needs round k's result (§5.15).
+  void begin_episode(const EdgeLearnEnv& env) override;
+  std::vector<double> act(const EdgeLearnEnv& env) override;
+  void observe(const core::StepResult& res) override;
+  void end_episode(const EpisodeStats& stats, bool pipelined) override;
 
   EdgeLearnEnv& env_;
   SingleDrlConfig config_;
@@ -58,7 +60,11 @@ class SingleAgentDrlMechanism {
   rl::PpoAgent agent_;
   rl::RolloutBuffer buffer_;
   int episodes_done_ = 0;
-  std::vector<float> last_profile_;  // zeroed at reset
+  bool learn_ = false;  // train() learns, evaluate() only rolls out
+  /// Myopic observation: last round's (ζ, p, T) per node, normalized;
+  /// zeroed at reset.
+  std::vector<float> last_profile_;
+  rl::Transition pending_;  // the posted round's obs and action
 };
 
 }  // namespace chiron::baselines

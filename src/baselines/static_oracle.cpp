@@ -17,21 +17,16 @@ StaticOracleMechanism::StaticOracleMechanism(
   CHIRON_CHECK(config_.episodes_per_candidate >= 1);
 }
 
-EpisodeStats StaticOracleMechanism::run_episode(double fraction) {
-  EpisodeStats stats;
-  env_.reset();
-  const double p_total = fraction * env_.price_cap();
-  const std::vector<double> proportions =
-      env_.equal_time_proportions(p_total);
-  const std::vector<double> prices =
-      core::combine_prices(p_total, proportions);
-  while (!env_.done()) {
-    core::StepResult res = env_.step(prices);
-    if (res.aborted) break;
-    accumulate(stats, res);
-  }
-  finalize(stats);
-  return stats;
+void StaticOracleMechanism::begin_episode(const EdgeLearnEnv& env) {
+  const double p_total = fraction_ * env.price_cap();
+  prices_ = core::combine_prices(p_total,
+                                 env.equal_time_proportions(p_total));
+}
+
+EpisodeStats StaticOracleMechanism::run_fraction(double fraction,
+                                                 int episodes) {
+  fraction_ = fraction;
+  return core::mean_stats(core::run_episodes(env_, *this, episodes));
 }
 
 EpisodeStats StaticOracleMechanism::search() {
@@ -43,10 +38,8 @@ EpisodeStats StaticOracleMechanism::search() {
     const double t = static_cast<double>(c) /
                      static_cast<double>(config_.candidates - 1);
     const double fraction = std::exp(log_lo + t * (log_hi - log_lo));
-    std::vector<EpisodeStats> runs;
-    for (int e = 0; e < config_.episodes_per_candidate; ++e)
-      runs.push_back(run_episode(fraction));
-    EpisodeStats mean = core::mean_stats(runs);
+    const EpisodeStats mean =
+        run_fraction(fraction, config_.episodes_per_candidate);
     if (mean.raw_reward_sum > best_reward) {
       best_reward = mean.raw_reward_sum;
       best_fraction_ = fraction;
@@ -58,11 +51,7 @@ EpisodeStats StaticOracleMechanism::search() {
 
 EpisodeStats StaticOracleMechanism::evaluate(int episodes) {
   CHIRON_CHECK_MSG(best_fraction_ > 0.0, "evaluate() before search()");
-  CHIRON_CHECK(episodes >= 1);
-  std::vector<EpisodeStats> runs;
-  for (int e = 0; e < episodes; ++e)
-    runs.push_back(run_episode(best_fraction_));
-  return core::mean_stats(runs);
+  return run_fraction(best_fraction_, episodes);
 }
 
 }  // namespace chiron::baselines

@@ -25,7 +25,7 @@ struct StaticOracleConfig {
   int episodes_per_candidate = 2;
 };
 
-class StaticOracleMechanism {
+class StaticOracleMechanism : private core::PricingPolicy {
  public:
   StaticOracleMechanism(EdgeLearnEnv& env, const StaticOracleConfig& config);
 
@@ -39,11 +39,19 @@ class StaticOracleMechanism {
   double best_fraction() const { return best_fraction_; }
 
  private:
-  EpisodeStats run_episode(double fraction);
+  /// Mean stats of `episodes` episodes at total price fraction·price_cap.
+  EpisodeStats run_fraction(double fraction, int episodes);
+
+  // Fixed prices read no round result, so the episode may pipeline.
+  bool pipelinable() const override { return true; }
+  void begin_episode(const EdgeLearnEnv& env) override;
+  std::vector<double> act(const EdgeLearnEnv&) override { return prices_; }
 
   EdgeLearnEnv& env_;
   StaticOracleConfig config_;
   double best_fraction_ = -1.0;
+  double fraction_ = 0.0;        // the fraction being played
+  std::vector<double> prices_;   // its Lemma-1 prices for this episode
 };
 
 }  // namespace chiron::baselines

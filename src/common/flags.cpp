@@ -9,12 +9,10 @@
 
 namespace chiron {
 
-namespace {
-
 // Shared checked-strtod path: the whole of `text` must parse, and the
 // result must be finite enough for strtod (ERANGE covers over/underflow
 // to HUGE_VAL/0 of out-of-range literals).
-double checked_double(const std::string& text, const std::string& context) {
+double parse_double(const std::string& text, const std::string& context) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text.c_str(), &end);
@@ -25,7 +23,16 @@ double checked_double(const std::string& text, const std::string& context) {
   return v;
 }
 
-}  // namespace
+int parse_int(const std::string& text, const std::string& context) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  CHIRON_CHECK_MSG(end != text.c_str() && *end == '\0',
+                   context << " expects an integer, got '" << text << "'");
+  CHIRON_CHECK_MSG(errno != ERANGE && v >= INT_MIN && v <= INT_MAX,
+                   context << " value '" << text << "' is out of int range");
+  return static_cast<int>(v);
+}
 
 FlagParser::FlagParser(int argc, const char* const* argv) {
   std::vector<std::string> args;
@@ -77,22 +84,13 @@ double FlagParser::get_double(const std::string& name,
                               double fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return checked_double(it->second, "--" + name);
+  return parse_double(it->second, "--" + name);
 }
 
 int FlagParser::get_int(const std::string& name, int fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  CHIRON_CHECK_MSG(end != it->second.c_str() && *end == '\0',
-                   "--" << name << " expects an integer, got '" << it->second
-                        << "'");
-  CHIRON_CHECK_MSG(errno != ERANGE && v >= INT_MIN && v <= INT_MAX,
-                   "--" << name << " value '" << it->second
-                        << "' is out of int range");
-  return static_cast<int>(v);
+  return parse_int(it->second, "--" + name);
 }
 
 std::vector<double> parse_double_list(const std::string& text,
@@ -106,7 +104,7 @@ std::vector<double> parse_double_list(const std::string& text,
     const std::string element = text.substr(start, end - start);
     CHIRON_CHECK_MSG(!element.empty(),
                      context << " has an empty element in '" << text << "'");
-    out.push_back(checked_double(
+    out.push_back(parse_double(
         element, context + " element '" + element + "'"));
     if (comma == std::string::npos) break;
     start = comma + 1;

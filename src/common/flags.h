@@ -48,6 +48,12 @@ class FlagParser {
   std::map<std::string, std::string> flags_;
 };
 
+/// The checked number parsers behind get_double/get_int, for values that
+/// arrive some other way (environment variables): the whole of `text`
+/// must parse and be in range, else InvariantError naming `context`.
+double parse_double(const std::string& text, const std::string& context);
+int parse_int(const std::string& text, const std::string& context);
+
 /// Parses a comma-separated list of numbers ("5,10.5,20") through the
 /// same checked strtod path as FlagParser::get_double. Throws
 /// InvariantError naming `context` and the offending element on empty

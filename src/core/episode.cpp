@@ -1,6 +1,7 @@
 #include "core/episode.h"
 
 #include "common/error.h"
+#include "runtime/pipeline.h"
 
 namespace chiron::core {
 
@@ -50,6 +51,46 @@ double mean_raw_reward(const std::vector<EpisodeStats>& episodes,
   double acc = 0.0;
   for (std::size_t i = from; i < to; ++i) acc += episodes[i].raw_reward_sum;
   return acc / static_cast<double>(to - from);
+}
+
+EpisodeStats play_episode(EdgeLearnEnv& env, PricingPolicy& policy,
+                          const RoundCallback& on_round) {
+  const bool pipelined = policy.pipelinable() && runtime::pipeline_enabled();
+  EpisodeStats stats;
+  auto record = [&](const StepResult& res) {
+    accumulate(stats, res);
+    policy.observe(res);
+    if (on_round) on_round(res);
+  };
+  env.reset();
+  policy.begin_episode(env);
+  while (!env.done()) {
+    const std::vector<double> prices = policy.act(env);
+    if (!pipelined) {
+      const StepResult res = env.step(prices);
+      if (res.aborted) break;
+      record(res);
+      continue;
+    }
+    // Round k's result arrives with round k+1's step (or from drain()).
+    const EdgeLearnEnv::PipelinedStep out = env.step_pipelined(prices);
+    if (out.prev_valid) record(out.prev);
+    if (out.aborted) break;
+  }
+  if (env.has_pending()) record(env.drain());
+  finalize(stats);
+  policy.end_episode(stats, pipelined);
+  return stats;
+}
+
+std::vector<EpisodeStats> run_episodes(EdgeLearnEnv& env,
+                                       PricingPolicy& policy, int episodes) {
+  CHIRON_CHECK(episodes >= 0);
+  std::vector<EpisodeStats> out;
+  out.reserve(static_cast<std::size_t>(episodes));
+  for (int e = 0; e < episodes; ++e)
+    out.push_back(play_episode(env, policy));
+  return out;
 }
 
 }  // namespace chiron::core

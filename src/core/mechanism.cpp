@@ -93,12 +93,9 @@ HierarchicalMechanism::HierarchicalMechanism(EdgeLearnEnv& env,
 HierarchicalMechanism::~HierarchicalMechanism() = default;
 
 std::vector<EpisodeStats> HierarchicalMechanism::train(int episodes) {
-  const int n = episodes >= 0 ? episodes : config_.episodes;
-  std::vector<EpisodeStats> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int e = 0; e < n; ++e) {
-    out.push_back(run_episode(/*learn=*/true, /*stochastic=*/true));
-  }
+  Policy policy(*this, rng_, /*learn=*/true);
+  std::vector<EpisodeStats> out = run_episodes(
+      env_, policy, episodes >= 0 ? episodes : config_.episodes);
   // Callers read the agents (evaluate, save, …) after train() returns;
   // nothing may still be mutating them on the stage thread.
   join_pending_update();
@@ -106,13 +103,13 @@ std::vector<EpisodeStats> HierarchicalMechanism::train(int episodes) {
 }
 
 EpisodeStats HierarchicalMechanism::evaluate(int episodes) {
-  CHIRON_CHECK(episodes >= 1);
-  std::vector<EpisodeStats> stats;
-  stats.reserve(static_cast<std::size_t>(episodes));
-  for (int e = 0; e < episodes; ++e)
-    stats.push_back(run_episode(/*learn=*/false, /*stochastic=*/true));
-  join_pending_update();
-  return mean_stats(stats);
+  Policy policy(*this, rng_);
+  return mean_stats(run_episodes(env_, policy, episodes));
+}
+
+EpisodeStats HierarchicalMechanism::run_episode(bool learn, bool stochastic) {
+  Policy policy(*this, rng_, learn, stochastic);
+  return play_episode(env_, policy);
 }
 
 void HierarchicalMechanism::save(const std::string& path) {
@@ -166,29 +163,28 @@ void HierarchicalMechanism::load(const std::string& path) {
 }
 
 HierarchicalMechanism::RoundAction HierarchicalMechanism::select_action(
-    std::vector<float> s_ext, bool stochastic) {
+    const EdgeLearnEnv& env, bool stochastic, Rng& rng) {
   RoundAction act;
-  act.s_ext = std::move(s_ext);
+  act.s_ext = env.exterior_state();
   // Exterior agent: total price.
   if (stochastic) {
-    act.ext = exterior_.act(act.s_ext, rng_);
+    act.ext = exterior_.act(act.s_ext, rng);
   } else {
     act.ext.action = exterior_.act_mean(act.s_ext);
   }
-  const double p_total = map_total_price(act.ext.action[0],
-                                         env_.price_cap());
+  const double p_total = map_total_price(act.ext.action[0], env.price_cap());
 
   // Inner agent: allocation proportions. Its state is the (normalized)
   // exterior action, per §V-A.
-  act.s_inner = {static_cast<float>(p_total / env_.price_cap())};
+  act.s_inner = {static_cast<float>(p_total / env.price_cap())};
   std::vector<double> proportions;
   if (config_.uniform_inner) {
-    proportions.assign(static_cast<std::size_t>(env_.num_nodes()),
-                       1.0 / env_.num_nodes());
+    proportions.assign(static_cast<std::size_t>(env.num_nodes()),
+                       1.0 / env.num_nodes());
   } else if (config_.oracle_inner) {
-    proportions = env_.equal_time_proportions(std::max(p_total, 1e-9));
+    proportions = env.equal_time_proportions(std::max(p_total, 1e-9));
   } else if (stochastic) {
-    act.inner = inner_.act(act.s_inner, rng_);
+    act.inner = inner_.act(act.s_inner, rng);
     proportions = map_proportions(act.inner.action);
   } else {
     act.inner.action = inner_.act_mean(act.s_inner);
@@ -273,63 +269,33 @@ void HierarchicalMechanism::join_pending_update() {
   update_pending_ = false;
 }
 
-EpisodeStats HierarchicalMechanism::run_episode(bool learn, bool stochastic) {
-  if (runtime::pipeline_enabled())
-    return run_episode_pipelined(learn, stochastic);
-  join_pending_update();
-  EpisodeStats stats;
-  std::vector<float> s_ext = env_.reset();
-  while (!env_.done()) {
-    RoundAction act = select_action(std::move(s_ext), stochastic);
-    StepResult res = env_.step(act.prices);
-    if (res.aborted) break;  // discarded round (paper §V-A)
-
-    accumulate(stats, res);
-    if (learn) record_transitions(std::move(act), res);
-    s_ext = env_.exterior_state();
-  }
-  finalize(stats);
-  if (learn) learn_from_episode(stats, /*deferred=*/false);
-  return stats;
+void HierarchicalMechanism::Policy::begin_episode(const EdgeLearnEnv&) {
+  // A PPO update deferred by the previous episode overlapped this
+  // episode's reset; it must land before the first act.
+  mech_.join_pending_update();
 }
 
-EpisodeStats HierarchicalMechanism::run_episode_pipelined(bool learn,
-                                                          bool stochastic) {
-  EpisodeStats stats;
-  // reset() rebuilds the backend — substantial work that overlaps a PPO
-  // update still on the stage thread; the fence lands before the first
-  // act touches the agents.
-  std::vector<float> s_ext = env_.reset();
-  join_pending_update();
+std::vector<double> HierarchicalMechanism::Policy::act(
+    const EdgeLearnEnv& env) {
+  RoundAction a = mech_.select_action(env, stochastic_, rng_);
+  std::vector<double> prices = std::move(a.prices);
+  if (learn_) {
+    CHIRON_CHECK(in_flight_.size() < 2);  // at most one round in flight
+    in_flight_.push_back(std::move(a));
+  }
+  return prices;
+}
 
-  // Context of the round currently in the env's pipeline, so its
-  // transitions can be recorded when its result arrives one step later.
-  RoundAction in_flight;
-  bool have_ctx = false;
-  while (!env_.done()) {
-    RoundAction act = select_action(std::move(s_ext), stochastic);
-    EdgeLearnEnv::PipelinedStep out = env_.step_pipelined(act.prices);
-    if (out.prev_valid) {
-      accumulate(stats, out.prev);
-      if (learn && have_ctx)
-        record_transitions(std::move(in_flight), out.prev);
-      have_ctx = false;
-    }
-    // An aborted commit discards this round: its action context is
-    // dropped, exactly like the sequential `if (res.aborted) break`.
-    if (out.aborted) break;
-    in_flight = std::move(act);
-    have_ctx = true;
-    s_ext = env_.exterior_state();
-  }
-  if (env_.has_pending()) {
-    const StepResult last = env_.drain();
-    accumulate(stats, last);
-    if (learn && have_ctx) record_transitions(std::move(in_flight), last);
-  }
-  finalize(stats);
-  if (learn) learn_from_episode(stats, /*deferred=*/true);
-  return stats;
+void HierarchicalMechanism::Policy::observe(const StepResult& res) {
+  if (!learn_) return;
+  mech_.record_transitions(std::move(in_flight_.front()), res);
+  in_flight_.pop_front();
+}
+
+void HierarchicalMechanism::Policy::end_episode(const EpisodeStats& stats,
+                                                bool pipelined) {
+  in_flight_.clear();  // an aborted round's context is discarded
+  if (learn_) mech_.learn_from_episode(stats, /*deferred=*/pipelined);
 }
 
 }  // namespace chiron::core

@@ -8,6 +8,7 @@
 // the buffers are cleared, exactly as Algorithm 1 lines 17–27.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,7 +101,46 @@ void write_mechanism_header(nn::CheckpointWriter& w,
 MechanismCheckpointInfo read_mechanism_header(nn::CheckpointReader& r);
 
 class HierarchicalMechanism {
+ private:
+  /// Everything the agents decided for one round: the states both acted
+  /// on, their raw actions, and the posted prices. Kept while the round
+  /// is in flight so its transition can be recorded once its result
+  /// arrives.
+  struct RoundAction {
+    std::vector<float> s_ext;
+    std::vector<float> s_inner;
+    rl::ActResult ext;
+    rl::ActResult inner;
+    std::vector<double> prices;
+  };
+
  public:
+  /// Chiron's pricing rule (Algorithm 1 lines 5–9) over this mechanism's
+  /// agents, drawing from `rng` (both must outlive it). With `learn` it
+  /// records each executed round's transitions and runs the episode-end
+  /// learning tail (lines 17–27); without, it replays the current policy.
+  /// Pipelinable: act() reads only the env's exterior state.
+  class Policy final : public PricingPolicy {
+   public:
+    Policy(HierarchicalMechanism& mech, Rng& rng, bool learn = false,
+           bool stochastic = true)
+        : mech_(mech), rng_(rng), learn_(learn), stochastic_(stochastic) {}
+
+    bool pipelinable() const override { return true; }
+    void begin_episode(const EdgeLearnEnv& env) override;
+    std::vector<double> act(const EdgeLearnEnv& env) override;
+    void observe(const StepResult& res) override;
+    void end_episode(const EpisodeStats& stats, bool pipelined) override;
+
+   private:
+    HierarchicalMechanism& mech_;
+    Rng& rng_;
+    bool learn_;
+    bool stochastic_;
+    /// Posted, not yet observed rounds (learn only; at most two).
+    std::deque<RoundAction> in_flight_;
+  };
+
   /// `env` must outlive the mechanism.
   HierarchicalMechanism(EdgeLearnEnv& env, const ChironConfig& config);
   ~HierarchicalMechanism();
@@ -116,9 +156,10 @@ class HierarchicalMechanism {
   /// point.)
   EpisodeStats evaluate(int episodes = 5);
 
-  /// One episode; learn=true stores transitions and updates at the end,
-  /// stochastic=true samples actions (otherwise uses policy means).
-  /// When runtime::pipeline_enabled() the episode runs the double-buffered
+  /// One episode of Policy(*this, own rng, learn, stochastic): learn=true
+  /// stores transitions and updates at the end, stochastic=true samples
+  /// actions (otherwise uses policy means). When
+  /// runtime::pipeline_enabled() the episode runs the double-buffered
   /// round pipeline (DESIGN.md §5.14): byte-identical transitions, stats
   /// and logs, with round k-1's evaluation and the end-of-batch PPO update
   /// hidden behind round k's training / the next episode's reset.
@@ -134,26 +175,14 @@ class HierarchicalMechanism {
   void load(const std::string& path);
 
  private:
-  /// Everything the agents decided for one round: the states both acted
-  /// on, their raw actions, and the posted prices. Kept while the round
-  /// is in flight so its transition can be recorded once the pipelined
-  /// result arrives.
-  struct RoundAction {
-    std::vector<float> s_ext;
-    std::vector<float> s_inner;
-    rl::ActResult ext;
-    rl::ActResult inner;
-    std::vector<double> prices;
-  };
-
-  /// Runs both agents (and the oracle/uniform ablations) on s_ext exactly
-  /// as Algorithm 1 does per round; consumes rng_ in the fixed order.
-  RoundAction select_action(std::vector<float> s_ext, bool stochastic);
+  /// Runs both agents (and the oracle/uniform ablations) on `env`'s
+  /// exterior state exactly as Algorithm 1 does per round; consumes `rng`
+  /// in the fixed order.
+  RoundAction select_action(const EdgeLearnEnv& env, bool stochastic,
+                            Rng& rng);
 
   /// Records one executed round's transitions into the episode buffers.
   void record_transitions(RoundAction&& act, const StepResult& res);
-
-  EpisodeStats run_episode_pipelined(bool learn, bool stochastic);
 
   /// Episode-end learning tail (Algorithm 1 lines 17–27). With `deferred`
   /// the PPO updates of a due batch run on the stage thread, overlapping

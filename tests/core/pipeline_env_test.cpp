@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/greedy.h"
+#include "baselines/single_drl.h"
+#include "baselines/static_oracle.h"
 #include "core/env.h"
 #include "core/mechanism.h"
 #include "obs/json.h"
@@ -343,16 +346,71 @@ TEST(PipelineEnv, EffectivePriceTotalLogsScreenedPricesAsZero) {
       << "expected " << want.str() << " in\n" << log;
 }
 
-// Mechanism-level identity: the pipelined episode driver additionally
-// defers the batch PPO update to the stage thread. Training and
-// evaluation must still be byte-identical with the pipeline on or off,
-// at any thread count.
+// Mechanism-level identity: play_episode pipelines Chiron (which
+// additionally defers the batch PPO update to the stage thread) and the
+// static oracle; Greedy and DRL-based stay sequential. Training and
+// evaluation must be byte-identical with the pipeline on or off, at any
+// thread count, for every mechanism.
 struct MechRun {
   std::vector<EpisodeStats> train;
   EpisodeStats eval;
 };
 
-MechRun run_mechanism(bool pipelined, int threads) {
+struct MechCase {
+  const char* name;
+  MechRun (*run)(EdgeLearnEnv& env);
+};
+
+const MechCase kMechanisms[] = {
+    {"chiron",
+     [](EdgeLearnEnv& env) {
+       ChironConfig cc;
+       cc.episodes = 24;
+       cc.hidden = 32;
+       cc.update_epochs = 4;
+       cc.lr_decay_every = 10;  // exercise the inline-update decay episodes
+       cc.seed = 5;
+       HierarchicalMechanism mech(env, cc);
+       MechRun out;
+       out.train = mech.train();
+       out.eval = mech.evaluate(3);
+       return out;
+     }},
+    {"drl_based",
+     [](EdgeLearnEnv& env) {
+       baselines::SingleDrlConfig dc;
+       dc.hidden = 32;
+       dc.update_epochs = 4;
+       dc.lr_decay_every = 10;
+       baselines::SingleAgentDrlMechanism mech(env, dc);
+       MechRun out;
+       out.train = mech.train(24);
+       out.eval = mech.evaluate(3);
+       return out;
+     }},
+    {"greedy",
+     [](EdgeLearnEnv& env) {
+       baselines::GreedyConfig gc;
+       gc.seed_actions = 10;
+       baselines::GreedyMechanism mech(env, gc);
+       MechRun out;
+       out.train = mech.train(12);
+       out.eval = mech.evaluate(3);
+       return out;
+     }},
+    {"static_oracle",
+     [](EdgeLearnEnv& env) {
+       baselines::StaticOracleConfig oc;
+       oc.candidates = 6;
+       baselines::StaticOracleMechanism mech(env, oc);
+       MechRun out;
+       out.train = {mech.search()};
+       out.eval = mech.evaluate(3);
+       return out;
+     }},
+};
+
+MechRun run_mechanism(const MechCase& mech, bool pipelined, int threads) {
   runtime::set_pipeline(pipelined);
   runtime::set_threads(threads);
   EnvConfig ec;
@@ -362,16 +420,7 @@ MechRun run_mechanism(bool pipelined, int threads) {
   ec.seed = 21;
   ec.max_rounds = 60;
   EdgeLearnEnv env(ec);
-  ChironConfig cc;
-  cc.episodes = 24;
-  cc.hidden = 32;
-  cc.update_epochs = 4;
-  cc.lr_decay_every = 10;  // exercise the inline-update decay episodes too
-  cc.seed = 5;
-  HierarchicalMechanism mech(env, cc);
-  MechRun out;
-  out.train = mech.train();
-  out.eval = mech.evaluate(3);
+  MechRun out = mech.run(env);
   runtime::set_pipeline(false);
   runtime::set_threads(0);
   return out;
@@ -389,14 +438,17 @@ void expect_stats_identical(const EpisodeStats& a, const EpisodeStats& b) {
 }
 
 TEST(PipelineMechanism, TrainAndEvaluateByteIdenticalOnOrOff) {
-  const MechRun off = run_mechanism(false, 1);
-  for (int threads : {1, 8}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    const MechRun on = run_mechanism(true, threads);
-    ASSERT_EQ(off.train.size(), on.train.size());
-    for (std::size_t i = 0; i < off.train.size(); ++i)
-      expect_stats_identical(off.train[i], on.train[i]);
-    expect_stats_identical(off.eval, on.eval);
+  for (const MechCase& mech : kMechanisms) {
+    const MechRun off = run_mechanism(mech, false, 1);
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(mech.name) + ", threads " +
+                   std::to_string(threads));
+      const MechRun on = run_mechanism(mech, true, threads);
+      ASSERT_EQ(off.train.size(), on.train.size());
+      for (std::size_t i = 0; i < off.train.size(); ++i)
+        expect_stats_identical(off.train[i], on.train[i]);
+      expect_stats_identical(off.eval, on.eval);
+    }
   }
 }
 

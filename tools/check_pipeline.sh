@@ -8,8 +8,11 @@
 # end-to-end form of the contract the unit tests pin
 # (PipelineEnv.*ByteIdentical*, PipelineMechanism.*):
 #
-#   1. fig3 convergence with the pipeline OFF vs ON, at --threads 1 and
-#      8: round logs and stdout must be byte-identical in all four runs.
+#   1. fig3 convergence (Chiron), fig4 (Chiron, DRL-based and Greedy;
+#      the last two run sequentially under --pipeline) and
+#      ablation_hierarchy (the static oracle, which pipelines) with the
+#      pipeline OFF vs ON, at --threads 1 and 8: round logs and stdout
+#      must be byte-identical in all four runs of each.
 #   2. The pipelined fig3 run repeated under ThreadSanitizer, plus the
 #      pipeline unit/env suites — the stage-thread hand-off must be
 #      TSan-clean, not just deterministic by luck.
@@ -26,33 +29,36 @@ cd "$(dirname "$0")/.."
 source tools/sanitize_common.sh
 BUILD_DIR="${1:-build}"
 TSAN_DIR="${2:-build-tsan}"
-BIN="$BUILD_DIR/bench/fig3_convergence"
+HARNESSES=(fig3_convergence fig4_mnist_budget_sweep ablation_hierarchy)
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release -DCHIRON_WERROR=ON
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target fig3_convergence
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${HARNESSES[@]}"
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 run() {
-  local mode="$1" threads="$2"
+  local harness="$1" mode="$2" threads="$3"
   local pipeline_flag=()
   [ "$mode" = "on" ] && pipeline_flag=(--pipeline)
-  "$BIN" --episodes 12 --threads "$threads" "${pipeline_flag[@]}" \
-    --round-log "$TMP/rounds_${mode}_t$threads.jsonl" \
-    > "$TMP/stdout_${mode}_t$threads.txt"
+  CHIRON_EVAL_EPISODES=2 "$BUILD_DIR/bench/$harness" --episodes 12 \
+    --threads "$threads" "${pipeline_flag[@]}" \
+    --round-log "$TMP/${harness}_rounds_${mode}_t$threads.jsonl" \
+    > "$TMP/${harness}_stdout_${mode}_t$threads.txt"
 }
 
-for t in 1 8; do
-  run off "$t"
-  run on "$t"
-  diff -u "$TMP/rounds_off_t$t.jsonl" "$TMP/rounds_on_t$t.jsonl" \
-    || { echo "check_pipeline: FAIL (round log differs pipeline off vs on at --threads $t)"; exit 1; }
-  diff -u "$TMP/stdout_off_t$t.txt" "$TMP/stdout_on_t$t.txt" \
-    || { echo "check_pipeline: FAIL (stdout differs pipeline off vs on at --threads $t)"; exit 1; }
+for h in "${HARNESSES[@]}"; do
+  for t in 1 8; do
+    run "$h" off "$t"
+    run "$h" on "$t"
+    diff -u "$TMP/${h}_rounds_off_t$t.jsonl" "$TMP/${h}_rounds_on_t$t.jsonl" \
+      || { echo "check_pipeline: FAIL ($h round log differs pipeline off vs on at --threads $t)"; exit 1; }
+    diff -u "$TMP/${h}_stdout_off_t$t.txt" "$TMP/${h}_stdout_on_t$t.txt" \
+      || { echo "check_pipeline: FAIL ($h stdout differs pipeline off vs on at --threads $t)"; exit 1; }
+  done
+  diff -u "$TMP/${h}_rounds_on_t1.jsonl" "$TMP/${h}_rounds_on_t8.jsonl" \
+    || { echo "check_pipeline: FAIL ($h pipelined round log differs between --threads 1 and 8)"; exit 1; }
 done
-diff -u "$TMP/rounds_on_t1.jsonl" "$TMP/rounds_on_t8.jsonl" \
-  || { echo "check_pipeline: FAIL (pipelined round log differs between --threads 1 and 8)"; exit 1; }
 
 # The same pipelined run under ThreadSanitizer: the overlap must be
 # clean, not merely deterministic. CHIRON_PIPELINE exercises the env
@@ -65,6 +71,6 @@ CHIRON_PIPELINE=1 "$TSAN_DIR/bench/fig3_convergence" --episodes 12 \
   --threads 8 --round-log "$TMP/rounds_tsan.jsonl" > /dev/null
 "$TSAN_DIR/tests/test_runtime" --gtest_filter='RoundPipeline.*:PipelineFlag.*'
 CHIRON_THREADS=8 "$TSAN_DIR/tests/test_core" \
-  --gtest_filter='PipelineEnv.*:PipelineMechanism.*'
+  --gtest_filter='PipelineEnv.*:PipelineMechanism.*:EpisodeLoop.*'
 
-echo "check_pipeline: OK (pipeline on ≡ off byte-for-byte at --threads 1 and 8; TSan-clean)"
+echo "check_pipeline: OK (${HARNESSES[*]}: pipeline on ≡ off byte-for-byte at --threads 1 and 8; TSan-clean)"

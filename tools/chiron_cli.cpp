@@ -35,7 +35,6 @@
 #include "common/flags.h"
 #include "core/mechanism.h"
 #include "core/recorder.h"
-#include "core/actions.h"
 #include "obs/metrics.h"
 #include "obs/round_log.h"
 #include "obs/span.h"
@@ -208,19 +207,10 @@ int cmd_train(const FlagParser& flags, obs::RoundSink* sink) {
   }
   if (flags.has("trace") && flags.get("trace").empty()) {
     core::RoundTrace trace;
-    env.reset();
     Rng rng(cfg.seed + 1000);
-    while (!env.done()) {
-      auto ext = chiron.exterior_agent().act(env.exterior_state(), rng);
-      const double p_total =
-          core::map_total_price(ext.action[0], env.price_cap());
-      auto inner = chiron.inner_agent().act(
-          {static_cast<float>(p_total / env.price_cap())}, rng);
-      auto res = env.step(core::combine_prices(
-          p_total, core::map_proportions(inner.action)));
-      if (res.aborted) break;
-      trace.add(res);
-    }
+    core::HierarchicalMechanism::Policy replay(chiron, rng);
+    core::play_episode(env, replay,
+                       [&trace](const core::StepResult& r) { trace.add(r); });
     std::cout << "# final-episode trace:\n";
     trace.write_tsv(std::cout);
   }
