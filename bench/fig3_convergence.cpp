@@ -5,7 +5,6 @@
 // the full synthetic-MNIST CNN), with a reduced episode count
 // (CHIRON_EPISODES to override).
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 
 #include "common/csv.h"
@@ -18,10 +17,8 @@ static int run(int argc, char** argv) {
   bench::ObsSession obs_session(opt);
   core::EnvConfig env_cfg =
       bench::make_market(data::VisionTask::kMnistLike, 5, 60.0, opt);
-  const char* blobs_env = std::getenv("CHIRON_FIG3_BLOBS");
   const bool use_blobs =
-      !opt.real_training &&
-      (blobs_env == nullptr || std::string(blobs_env) == "1");
+      bench::env_switch("CHIRON_FIG3_BLOBS", true) && !opt.real_training;
   if (use_blobs) {
     // Real federated SGD, fast substrate: MLP on Gaussian blobs.
     env_cfg.backend = core::BackendKind::kRealBlobs;

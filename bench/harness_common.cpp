@@ -23,6 +23,15 @@ namespace chiron::bench {
 
 namespace {
 
+/// The value of a switch's variable: 0 or 1 through the checked integer
+/// parser, anything else an error naming `name`.
+bool parse_switch(const std::string& text, const std::string& name) {
+  const int on = parse_int(text, name);
+  CHIRON_CHECK_MSG(on == 0 || on == 1,
+                   name << " must be 0 or 1, got " << on);
+  return on == 1;
+}
+
 /// Reads each option from its flag, else its CHIRON_* variable, else the
 /// default — through the same checked parsers — and remembers the flag
 /// names it was asked about so the rest can be rejected as unknown.
@@ -67,10 +76,7 @@ class OptionReader {
   bool get_switch(const std::string& flag) {
     const auto v = lookup(flag);
     if (!v || flags_.has(flag)) return v.has_value();
-    const int on = parse_int(v->first, v->second);
-    CHIRON_CHECK_MSG(on == 0 || on == 1,
-                     v->second << " must be 0 or 1, got " << on);
-    return on == 1;
+    return parse_switch(v->first, v->second);
   }
 
   void reject_unknown() const {
@@ -94,6 +100,11 @@ int harness_main(int argc, char** argv, int (*body)(int, char**)) {
               << "\n";
     return 2;
   }
+}
+
+bool env_switch(const char* var, bool fallback) {
+  const char* v = std::getenv(var);
+  return v == nullptr ? fallback : parse_switch(v, var);
 }
 
 HarnessOptions read_options(int argc, const char* const* argv) {

@@ -88,6 +88,11 @@ int harness_main(int argc, char** argv, int (*body)(int, char**));
 /// typos don't silently fall back to defaults.
 HarnessOptions read_options(int argc, const char* const* argv);
 
+/// A harness-specific 0|1 switch that exists only as the environment
+/// variable `var`, parsed like a switch flag's variable: unset is
+/// `fallback`, anything but 0 or 1 is a named error.
+bool env_switch(const char* var, bool fallback);
+
 /// RAII scope for a harness run's observability: enables the metrics
 /// registry / span tracing when the matching output paths are set, opens
 /// the round sink and points opt.round_sink at it, and on destruction

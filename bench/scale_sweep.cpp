@@ -19,6 +19,11 @@
 // economics at this scale lives in BM_EconRoundPlane/100000; this one
 // runs the federated half (training, probes, shard tree, evaluation)
 // over 100k participants.
+//
+// BM_EnvStep100k / BM_EnvStep100kAdversarial time one whole
+// EdgeLearnEnv::step at N=100k on the surrogate backend: the honest
+// market, and the same market under market_adv_10k's adversary, fault
+// and defense knobs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -179,28 +184,68 @@ BENCHMARK(BM_FedRoundScaled)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Full environment step at 100k nodes (surrogate backend): economics
-// plane, budget/payment accounting, history ring and state assembly —
-// the end-to-end per-round cost a mechanism run pays at this scale.
-static void BM_EnvStep100k(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+namespace {
+
+core::EnvConfig env_step_config(int n) {
   core::EnvConfig cfg;
   cfg.num_nodes = n;
   cfg.budget = 1e12;
   cfg.max_rounds = 1 << 30;
   cfg.backend = core::BackendKind::kSurrogate;
   cfg.data_bits_per_node = 5e8 / static_cast<double>(n);
+  return cfg;
+}
+
+// Steps `cfg`'s env at half of every node's saturation price.
+void run_env_steps(benchmark::State& state, const core::EnvConfig& cfg) {
   core::EdgeLearnEnv env(cfg);
   env.reset();
-  std::vector<double> prices(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
+  std::vector<double> prices(static_cast<std::size_t>(cfg.num_nodes));
+  for (int i = 0; i < cfg.num_nodes; ++i)
     prices[static_cast<std::size_t>(i)] = 0.5 * env.per_node_price_cap(i);
   for (auto _ : state) {
     auto res = env.step(prices);
     benchmark::DoNotOptimize(res.accuracy);
   }
-  set_nodes_per_sec(state, n);
+  set_nodes_per_sec(state, cfg.num_nodes);
+}
+
+}  // namespace
+
+// Full environment step at 100k nodes (surrogate backend): economics
+// plane, budget/payment accounting, history ring and state assembly —
+// the end-to-end per-round cost a mechanism run pays at this scale.
+static void BM_EnvStep100k(benchmark::State& state) {
+  run_env_steps(state, env_step_config(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_EnvStep100k)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// The same step with the adversary, fault and defense knobs of
+// perfbench's market_adv_10k (misreport, free-ride and churn; crashes,
+// stragglers, outages and a round deadline; screening, audits and
+// reputation): the adversarial round at N=100k, schedules included.
+static void BM_EnvStep100kAdversarial(benchmark::State& state) {
+  core::EnvConfig cfg = env_step_config(static_cast<int>(state.range(0)));
+  const std::uint64_t seed = cfg.seed;
+  cfg.adversary.fraction = 0.2;
+  cfg.adversary.misreport_factor = 1.6;
+  cfg.adversary.freeride_prob = 0.2;
+  cfg.adversary.churn_prob = 0.02;
+  cfg.adversary.seed = seed ^ 0xad5eedu;
+  cfg.faults.crash_prob = 0.05;
+  cfg.faults.straggler_prob = 0.1;
+  cfg.faults.persistent_prob = 0.1;
+  cfg.faults.seed = seed ^ 0xfa17u;
+  cfg.round_deadline = 60.0;
+  cfg.defense.reserve_price = 0.085;
+  cfg.defense.audit_prob = 0.3;
+  cfg.defense.audit_tolerance = 1.25;
+  cfg.defense.reputation_alpha = 0.2;
+  cfg.defense.seed = seed ^ 0xa0d17u;
+  run_env_steps(state, cfg);
+}
+BENCHMARK(BM_EnvStep100kAdversarial)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

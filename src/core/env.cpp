@@ -1,8 +1,8 @@
 #include "core/env.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -132,6 +132,8 @@ EdgeLearnEnv::EdgeLearnEnv(const EnvConfig& config)
   price_norm_ = price_cap_ / static_cast<double>(config_.num_nodes);
   plane_ = std::make_unique<sysmodel::EconomicsPlane>(devices_,
                                                       config_.local_epochs);
+  history_.resize(static_cast<std::size_t>(config_.history) * 3 *
+                  static_cast<std::size_t>(config_.num_nodes));
   backend_ = make_backend(config_, rng_.split());
 }
 
@@ -156,7 +158,8 @@ std::vector<float> EdgeLearnEnv::reset() {
   // same fixed market (the population the mechanism learns about).
   devices_ = base_devices_;
   plane_->rebuild(devices_);
-  history_.clear();
+  history_len_ = 0;
+  history_next_ = 0;
   return exterior_state();
 }
 
@@ -228,24 +231,60 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::play_round(
     finish_prev(out);
     out.aborted = true;
     out.abort = make_aborted_result(last_accuracy_);
-    emit_round(out.abort,
-               std::accumulate(c.effective_prices.begin(),
-                               c.effective_prices.end(), 0.0),
-               c.p_posted, c.effective_prices, budget_remaining_,
+    emit_round(out.abort, c.p_total, c.p_posted, budget_remaining_,
                total_clawed_back_, forfeited_total_, round_ + 1);
     return {};
   }
   bool eval_pending = false;
   fl::DeferredEval eval;
-  const fl::TolerantRoundReport rep = backend_->train(
-      c.participants, c.weights, c.delivery, eval, eval_pending);
+  const fl::TolerantRoundReport rep =
+      backend_->train(scratch_.participants, scratch_.weights,
+                      scratch_.delivery, eval, eval_pending);
   PendingRound settled = settle_round(std::move(c), rep, eval_pending);
   settled.eval = std::move(eval);
   return settled;
 }
 
+void EdgeLearnEnv::RoundScratch::resize(std::size_t count) {
+  participants.resize(count);
+  weights.resize(count);
+  delivery.resize(count);
+  times.resize(count);
+  paid.resize(count);
+}
+
+std::shared_ptr<sysmodel::DecisionBatch> EdgeLearnEnv::acquire_batch() {
+  // chiron-hot-begin(env-acquire-batch)
+  // A batch whose only owner is the pool is free: no StepResult or
+  // pending round can still read it. The first free one is reused and
+  // any further free ones are released, so the pool holds the batches
+  // still referenced plus at most one spare.
+  std::shared_ptr<sysmodel::DecisionBatch> spare;
+  for (auto it = batches_.begin(); it != batches_.end();) {
+    if (it->use_count() != 1) {
+      ++it;
+    } else if (spare == nullptr) {
+      spare = *it++;
+    } else {
+      it = batches_.erase(it);
+    }
+  }
+  if (spare != nullptr) {
+    // use_count() is a relaxed load; the fence orders this round's
+    // writes after the last reads of a holder that dropped the batch on
+    // another thread (its release decrement is what the load saw).
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return spare;
+  }
+  // chiron-lint: allow(AL1): the spare batch, made only while every pooled batch is held
+  batches_.push_back(std::make_shared<sysmodel::DecisionBatch>());
+  return batches_.back();
+  // chiron-hot-end(env-acquire-batch)
+}
+
 EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_round(
     const std::vector<double>& prices) {
+  // chiron-hot-begin(env-commit)
   // One round of the market (DESIGN.md §5.6, §5.11). Faults and
   // adversaries only add per-node columns to it; with every knob off it
   // is the paper's round.
@@ -259,14 +298,12 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_round(
   //   6. training inputs: delivery outlook and reputation-scaled weights.
   CommitOut c;
   c.planned_round = round_;
-  c.p_posted = std::accumulate(prices.begin(), prices.end(), 0.0);
   c.budget_checkpoint = budget_remaining_;
   const bool strategic = adversary_active();
   // Each schedule is drawn only while its knobs are on: an inert draw
   // yields all-clear events at the cost of one stream per node.
   if (strategic) c.adv = adversary_plan_->plan_round(c.planned_round);
-  std::vector<faults::FaultEvent> events;
-  if (config_.faults.any()) events = fault_plan_->plan_round(c.planned_round);
+  if (config_.faults.any()) c.events = fault_plan_->plan_round(c.planned_round);
   const auto misreport = [&c](std::size_t i) {
     return !c.adv.empty() && c.adv[i].adversarial ? c.adv[i].misreport_factor
                                                    : 1.0;
@@ -285,48 +322,55 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_round(
     ++c.res.rejoined;
   }
 
-  // Away (churned) and down (persistent-outage) nodes never see the
-  // posted price — equivalent to posting them a zero price (no payment,
-  // counted as fully idle by Eqns 15–16). Availability draws follow for
-  // the rest.
-  c.effective_prices = prices;
-  for (std::size_t i = 0; i < c.effective_prices.size(); ++i) {
+  // The round is played in a batch no held result still reads; its price
+  // column carries the effective prices from here on.
+  c.batch = acquire_batch();
+  sysmodel::DecisionBatch& b = *c.batch;
+  // chiron-lint: allow(AL1): DecisionBatch::resize grows only in the batch's first round
+  b.resize(prices.size());
+
+  // Effective prices, one pass in node order. Away (churned) and down
+  // (persistent-outage) nodes never see the posted price — equivalent to
+  // posting them a zero price (no payment, counted as fully idle by Eqns
+  // 15–16); availability draws follow for the rest. Reserve-price
+  // screening then prices out a node whose *reported* participation
+  // floor 2(μ̂ + E^com) exceeds the bound. The posted and effective sums
+  // run in the same node order as a separate pass over each column.
+  const bool screening = config_.defense.reserve_price > 0.0;
+  for (std::size_t i = 0; i < prices.size(); ++i) {
+    double p = prices[i];
+    c.p_posted += p;
     const bool away = !c.adv.empty() && c.adv[i].away;
-    if (away || (!events.empty() && events[i].down) ||
+    if (away || (!c.events.empty() && c.events[i].down) ||
         (config_.node_availability < 1.0 &&
          !rng_.bernoulli(config_.node_availability))) {
-      c.effective_prices[i] = 0.0;
+      p = 0.0;
       ++c.res.offline;
       if (away) ++c.res.departed;
+    } else if (screening && p > 0.0 &&
+               adversary::reported_floor_payment(adversary::reported_profile(
+                   devices_[i], misreport(i))) >
+                   config_.defense.reserve_price) {
+      p = 0.0;
+      ++c.res.screened;
     }
-  }
-
-  // Reserve-price screening: a node whose *reported* participation floor
-  // 2(μ̂ + E^com) exceeds the bound is priced out of the round entirely.
-  if (config_.defense.reserve_price > 0.0) {
-    for (std::size_t i = 0; i < c.effective_prices.size(); ++i) {
-      if (c.effective_prices[i] <= 0.0) continue;
-      if (adversary::reported_floor_payment(adversary::reported_profile(
-              devices_[i], misreport(i))) > config_.defense.reserve_price) {
-        c.effective_prices[i] = 0.0;
-        ++c.res.screened;
-      }
-    }
+    b.price[i] = p;
+    c.p_total += p;
   }
 
   // The promised market on the SoA plane: one batched best-response pass
-  // (bit-identical to sysmodel::best_response, plane_test pins it), then
-  // the misreporters' rows are patched. misreported_response(f = 1) is
-  // exactly best_response, so only f > 1 rows need the scalar call.
-  plane_->best_response_batch(c.effective_prices, batch_);
+  // over the price column (bit-identical to sysmodel::best_response,
+  // plane_test pins it), then the misreporters' rows are patched.
+  // misreported_response(f = 1) is exactly best_response, so only f > 1
+  // rows need the scalar call.
+  plane_->best_response_batch(b);
   for (std::size_t i = 0; i < c.adv.size(); ++i) {
     const double f = misreport(i);
     if (f > 1.0)
-      batch_.set(i, sysmodel::misreported_response(
-                        devices_[i], c.effective_prices[i],
-                        config_.local_epochs, f));
+      b.set(i, sysmodel::misreported_response(devices_[i], b.price[i],
+                                              config_.local_epochs, f));
   }
-  c.promised = plane_->to_outcome(batch_, plane_->aggregate_round(batch_));
+  c.promised = plane_->aggregate_round(b);
 
   // Paper §V-A: if paying this round would overdraw the budget, the round
   // is discarded (no training, no recording) and learning stops. The rule
@@ -349,66 +393,69 @@ EdgeLearnEnv::CommitOut EdgeLearnEnv::commit_round(
   // upload arrives at all. A free-rider mimics honest timing (instant
   // uploads would expose it); its upload is a stale global model. Only a
   // fault or a deadline can move a node off its promised time.
-  const bool timed = !events.empty() || config_.round_deadline > 0.0;
-  if (timed) c.realized_times.assign(c.promised.nodes.size(), 0.0);
-  const auto count = static_cast<std::size_t>(c.promised.participants);
-  c.participants.reserve(count);
-  c.weights.reserve(count);
-  c.delivery.reserve(count);
+  c.timed = !c.events.empty() || config_.round_deadline > 0.0;
+  // chiron-lint: allow(AL1): RoundScratch::resize grows only in the first rounds
+  scratch_.resize(static_cast<std::size_t>(c.promised.participants));
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < b.size(); ++i)
+    if (b.participates[i]) scratch_.participants[count++] = static_cast<int>(i);
+  const sysmodel::Column& data_bits = plane_->data_bits();
+  for (std::size_t s = 0; s < count; ++s) {
+    scratch_.weights[s] =
+        data_bits[static_cast<std::size_t>(scratch_.participants[s])];
+    scratch_.delivery[s] = fl::RoundDelivery{};
+  }
+  if (!c.timed && !strategic) return c;
   const faults::FaultEvent no_fault;
-  for (std::size_t i = 0; i < c.promised.nodes.size(); ++i) {
-    const sysmodel::NodeDecision& nd = c.promised.nodes[i];
-    if (!nd.participates) continue;
-    fl::RoundDelivery d;
-    if (timed) {
-      const faults::FaultEvent& e = events.empty() ? no_fault : events[i];
-      c.realized_times[i] = sysmodel::realized_node_time(
-          nd, e.slowdown, config_.round_deadline);
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto i = static_cast<std::size_t>(scratch_.participants[s]);
+    fl::RoundDelivery& d = scratch_.delivery[s];
+    if (c.timed) {
+      const faults::FaultEvent& e = c.events.empty() ? no_fault : c.events[i];
+      scratch_.times[s] = sysmodel::realized_node_time(
+          b.node(i), e.slowdown, config_.round_deadline);
       d.crash = e.crash;
-      const double full_time = nd.compute_time * e.slowdown + nd.comm_time;
+      const double full_time = b.compute_time[i] * e.slowdown + b.comm_time[i];
       d.late =
           config_.round_deadline > 0.0 && full_time > config_.round_deadline;
       d.corruption = e.corruption;
     }
-    double weight = devices_[i].data_bits;
     if (strategic) {
       d.freeride = c.adv[i].freeride;
       if (c.adv[i].freeride) ++c.res.freeriding;
       if (c.adv[i].misreport_factor > 1.0) ++c.res.misreporting;
       // Reputation-weighted aggregation: the node's data weight is scaled
       // by its ledger weight (exactly 1 while the defense is off).
-      weight *= reputation_->weight(static_cast<int>(i));
+      scratch_.weights[s] *= reputation_->weight(static_cast<int>(i));
     }
-    c.participants.push_back(static_cast<int>(i));
-    c.weights.push_back(weight);
-    c.delivery.push_back(d);
   }
   return c;
+  // chiron-hot-end(env-commit)
 }
 
 EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
     CommitOut c, const fl::TolerantRoundReport& rep, bool eval_pending) {
+  // chiron-hot-begin(env-settle)
   StepResult& res = c.res;
+  sysmodel::DecisionBatch& b = *c.batch;
   const bool strategic = adversary_active();
-  const std::size_t n = c.promised.nodes.size();
+  const auto& participants = scratch_.participants;
   // Pay-on-delivery: only nodes whose upload was actually aggregated earn
   // their promised p·ζ; everyone else trained for free. When every
   // participant delivered at its promised time and nobody is flagged,
-  // the promised outcome IS the realized one.
-  bool as_promised = rep.delivered == static_cast<int>(c.participants.size());
-  if (!c.realized_times.empty()) {
-    for (int node : c.participants) {
-      const auto i = static_cast<std::size_t>(node);
-      as_promised = as_promised &&
-                    c.realized_times[i] == c.promised.nodes[i].total_time;
+  // the promised batch IS the realized one.
+  bool as_promised = rep.delivered == static_cast<int>(participants.size());
+  if (c.timed) {
+    for (std::size_t s = 0; s < participants.size(); ++s) {
+      const auto i = static_cast<std::size_t>(participants[s]);
+      as_promised = as_promised && scratch_.times[s] == b.total_time[i];
     }
   }
-  std::vector<bool> paid;
   if (!as_promised || strategic) {
-    paid.assign(n, false);
-    for (std::size_t s = 0; s < c.participants.size(); ++s) {
+    for (std::size_t s = 0; s < participants.size(); ++s) {
+      scratch_.paid[s] = 0;
       if (rep.status[s] != fl::DeliveryStatus::kDelivered) continue;
-      const auto i = static_cast<std::size_t>(c.participants[s]);
+      const auto i = static_cast<std::size_t>(participants[s]);
       // Audits (adversary or defense on): a delivered upload is paid
       // unless an audit fires and catches a free-ride (always
       // unambiguous — the upload is a byte-copy of the model the server
@@ -418,31 +465,31 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
       bool pay = true;
       if (strategic && adversary::audit_fires(config_.defense,
                                               c.planned_round,
-                                              c.participants[s])) {
+                                              participants[s])) {
         if (c.adv[i].freeride ||
             c.adv[i].misreport_factor >= config_.defense.audit_tolerance) {
           pay = false;
           ++res.flagged;
-          res.clawed_back += c.promised.nodes[i].payment;
+          res.clawed_back += b.payment[i];
         }
       }
-      paid[i] = pay;
+      scratch_.paid[s] = pay ? 1 : 0;
     }
     as_promised = as_promised && res.flagged == 0;
   }
-  if (as_promised) {
-    // realize_round would rebuild this outcome (op for op within one
-    // plane chunk). Moving it through keeps the plane's reduction order
-    // at any N and builds no per-node time or pay mask.
-    res.outcome = std::move(c.promised);
-  } else {
-    if (c.realized_times.empty()) {
-      c.realized_times.resize(n);
-      for (std::size_t i = 0; i < n; ++i)
-        c.realized_times[i] = c.promised.nodes[i].total_time;
+  sysmodel::RoundAggregates agg = c.promised;
+  if (!as_promised) {
+    // Realize in place: realized times replace the promised ones and
+    // unpaid payments are zeroed, then the plane re-aggregates. Energy
+    // and participation carry over (compute happened either way). Within
+    // one chunk this is realize_round op for op; at any N it is the same
+    // chunk order the promised market was summed in.
+    for (std::size_t s = 0; s < participants.size(); ++s) {
+      const auto i = static_cast<std::size_t>(participants[s]);
+      if (c.timed) b.total_time[i] = scratch_.times[s];
+      if (!scratch_.paid[s]) b.payment[i] = 0.0;
     }
-    res.outcome = sysmodel::realize_round(std::move(c.promised),
-                                         c.realized_times, paid);
+    agg = plane_->aggregate_round(b);
   }
   if (strategic) {
     total_clawed_back_ += res.clawed_back;
@@ -451,14 +498,13 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
     // their score. The server cannot tell a crash from malice — both
     // cost it a round — so both depress reputation until clean rounds
     // rebuild it.
-    for (std::size_t s = 0; s < c.participants.size(); ++s) {
-      const int node = c.participants[s];
+    for (std::size_t s = 0; s < participants.size(); ++s) {
       const bool clean = rep.status[s] == fl::DeliveryStatus::kDelivered &&
-                         paid[static_cast<std::size_t>(node)];
-      reputation_->update(node, clean ? 1.0 : 0.0);
+                         scratch_.paid[s] != 0;
+      reputation_->update(participants[s], clean ? 1.0 : 0.0);
     }
   }
-  res.participants = res.outcome.participants;
+  res.participants = agg.participants;
   res.delivered = rep.delivered;
   res.crashed = rep.crashed;
   res.late = rep.late;
@@ -470,7 +516,7 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
   // the non-spendable ledger instead of returning. The checkpoint form
   // keeps clawback-free rounds bit-identical to a single debit (b − R),
   // and drains clawbacks on top ((b − R) − C).
-  budget_remaining_ = c.budget_checkpoint - res.outcome.total_payment;
+  budget_remaining_ = c.budget_checkpoint - agg.total_payment;
   if (res.clawed_back > 0.0) {
     budget_remaining_ -= res.clawed_back;
     forfeited_total_ += res.clawed_back;
@@ -478,25 +524,15 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
   escrow_outstanding_ = 0.0;
   res.forfeited_total = forfeited_total_;
 
-  res.round_time = res.outcome.round_time;
-  res.payment = res.outcome.total_payment;
-  res.idle_time = res.outcome.idle_time;
-  res.time_efficiency = res.outcome.time_efficiency;
+  res.round_time = agg.round_time;
+  res.payment = agg.total_payment;
+  res.idle_time = agg.idle_time;
+  res.time_efficiency = agg.time_efficiency;
   if (!eval_pending) res.accuracy = rep.accuracy;
 
   // History records the realized times — the exterior state should reflect
   // the node speeds the mechanism actually observed.
-  RoundProfile profile;
-  profile.zeta.resize(static_cast<std::size_t>(config_.num_nodes), 0.0);
-  profile.price = c.effective_prices;
-  profile.time.resize(static_cast<std::size_t>(config_.num_nodes), 0.0);
-  for (std::size_t i = 0; i < res.outcome.nodes.size(); ++i) {
-    profile.zeta[i] = res.outcome.nodes[i].zeta;
-    profile.time[i] = res.outcome.nodes[i].total_time;
-  }
-  history_.push_back(std::move(profile));
-  if (static_cast<int>(history_.size()) > config_.history)
-    history_.erase(history_.begin());
+  record_history(b);
 
   if (budget_remaining_ <= 0.0 || round_ >= config_.max_rounds) done_ = true;
   res.done = done_;
@@ -506,16 +542,33 @@ EdgeLearnEnv::PendingRound EdgeLearnEnv::settle_round(
   PendingRound p;
   p.valid = true;
   p.eval_pending = eval_pending;
-  p.p_total = std::accumulate(c.effective_prices.begin(),
-                              c.effective_prices.end(), 0.0);
+  p.p_total = c.p_total;
   p.p_posted = c.p_posted;
   p.budget_remaining = budget_remaining_;
   p.total_clawed_back = total_clawed_back_;
   p.forfeited_total = forfeited_total_;
   p.round = round_;
+  res.outcome = {agg, sysmodel::DecisionView(std::move(c.batch))};
   p.res = std::move(res);
-  p.effective_prices = std::move(c.effective_prices);
   return p;
+  // chiron-hot-end(env-settle)
+}
+
+void EdgeLearnEnv::record_history(const sysmodel::DecisionBatch& batch) {
+  // chiron-hot-begin(env-history)
+  const std::size_t n = batch.size();
+  const double zeta_norm = config_.population.zeta_max_hi;
+  float* block =
+      history_.data() + static_cast<std::size_t>(history_next_) * 3 * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    block[3 * i] = static_cast<float>(batch.zeta[i] / zeta_norm);
+    block[3 * i + 1] = static_cast<float>(batch.price[i] / price_norm_);
+    block[3 * i + 2] =
+        static_cast<float>(batch.total_time[i] / config_.time_norm);
+  }
+  history_next_ = (history_next_ + 1) % config_.history;
+  history_len_ = std::min(history_len_ + 1, config_.history);
+  // chiron-hot-end(env-history)
 }
 
 StepResult EdgeLearnEnv::finalize_pending() {
@@ -546,17 +599,14 @@ StepResult EdgeLearnEnv::finalize_pending() {
   }
 
   emit_round(res, pending_.p_total, pending_.p_posted,
-             pending_.effective_prices, pending_.budget_remaining,
-             pending_.total_clawed_back, pending_.forfeited_total,
-             pending_.round);
+             pending_.budget_remaining, pending_.total_clawed_back,
+             pending_.forfeited_total, pending_.round);
   pending_.valid = false;
   return res;
 }
 
 void EdgeLearnEnv::emit_round(const StepResult& res, double p_total,
-                              double p_posted,
-                              const std::vector<double>& effective_prices,
-                              double budget_remaining,
+                              double p_posted, double budget_remaining,
                               double total_clawed_back,
                               double forfeited_total, int record_round) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
@@ -628,17 +678,12 @@ void EdgeLearnEnv::emit_round(const StepResult& res, double p_total,
     r.forfeited_total = forfeited_total;
   }
   if (!res.aborted) {
-    r.node_prices = effective_prices;
-    r.node_zetas.reserve(res.outcome.nodes.size());
-    r.node_participates.reserve(res.outcome.nodes.size());
-    r.node_times.reserve(res.outcome.nodes.size());
-    r.node_payments.reserve(res.outcome.nodes.size());
-    for (const sysmodel::NodeDecision& nd : res.outcome.nodes) {
-      r.node_zetas.push_back(nd.zeta);
-      r.node_participates.push_back(nd.participates ? 1 : 0);
-      r.node_times.push_back(nd.total_time);
-      r.node_payments.push_back(nd.payment);
-    }
+    const sysmodel::DecisionBatch& b = res.outcome.nodes.columns();
+    r.node_prices.assign(b.price.begin(), b.price.end());
+    r.node_zetas.assign(b.zeta.begin(), b.zeta.end());
+    r.node_participates.assign(b.participates.begin(), b.participates.end());
+    r.node_times.assign(b.total_time.begin(), b.total_time.end());
+    r.node_payments.assign(b.payment.begin(), b.payment.end());
   }
   round_sink_->write(r);
 }
@@ -651,23 +696,22 @@ std::int64_t EdgeLearnEnv::exterior_state_dim() const {
 std::vector<float> EdgeLearnEnv::exterior_state() const {
   // Layout: for each of the L most recent rounds (oldest first, zero-padded
   // at episode start): ζ_i/ζ_hi, p_i/price_norm, T_i/time_norm for every
-  // node; then remaining-budget fraction and round-index fraction.
+  // node; then remaining-budget fraction and round-index fraction. The
+  // round blocks were normalized when their rounds settled.
+  const std::size_t block = 3 * static_cast<std::size_t>(config_.num_nodes);
   std::vector<float> s;
   s.reserve(static_cast<std::size_t>(exterior_state_dim()));
-  const double zeta_norm = config_.population.zeta_max_hi;
-  const int pad = config_.history - static_cast<int>(history_.size());
-  for (int h = 0; h < config_.history; ++h) {
-    if (h < pad) {
-      for (int i = 0; i < 3 * config_.num_nodes; ++i) s.push_back(0.f);
-      continue;
-    }
-    const RoundProfile& p = history_[static_cast<std::size_t>(h - pad)];
-    for (int i = 0; i < config_.num_nodes; ++i) {
-      const std::size_t ii = static_cast<std::size_t>(i);
-      s.push_back(static_cast<float>(p.zeta[ii] / zeta_norm));
-      s.push_back(static_cast<float>(p.price[ii] / price_norm_));
-      s.push_back(static_cast<float>(p.time[ii] / config_.time_norm));
-    }
+  s.insert(s.end(),
+           static_cast<std::size_t>(config_.history - history_len_) * block,
+           0.f);
+  // The oldest written block sits history_len_ blocks behind the next.
+  for (int h = 0; h < history_len_; ++h) {
+    const int slot =
+        (history_next_ - history_len_ + h + config_.history) % config_.history;
+    const auto first =
+        history_.begin() + static_cast<std::ptrdiff_t>(slot) *
+                               static_cast<std::ptrdiff_t>(block);
+    s.insert(s.end(), first, first + static_cast<std::ptrdiff_t>(block));
   }
   s.push_back(static_cast<float>(budget_remaining_ / config_.budget));
   s.push_back(static_cast<float>(static_cast<double>(round_) /

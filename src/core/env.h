@@ -14,6 +14,7 @@
 // payment scales stay at paper scale even in fast training modes.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -116,6 +117,13 @@ struct EnvConfig {
 
 /// Everything observable about one executed round.
 ///
+/// Copying a StepResult is O(1) at any N: `outcome` is the round's
+/// aggregates plus `outcome.nodes`, a read-only view over the economics
+/// plane's decision batch for the round, shared and immutable once the
+/// round settled. `nodes[i]` and range-for yield `NodeDecision` values
+/// built from the columns; a held result keeps its batch alive and
+/// unchanged, and the env reuses a batch only once no result holds it.
+///
 /// Aborted-round contract: when a round is discarded because its payment
 /// would overdraw the budget, the StepResult carries `done = true`,
 /// `aborted = true`, `accuracy` frozen at the last trained value — and
@@ -159,7 +167,7 @@ struct StepResult {
   /// forfeited on an audit catch instead of returning to the spendable
   /// budget (escrow discipline — DESIGN.md §5.11).
   double forfeited_total = 0.0;
-  sysmodel::RoundOutcome outcome;  // per-node detail (realized under faults:
+  sysmodel::BatchOutcome outcome;  // per-node detail (realized under faults:
                                    // deadline-cut times, delivery-only pay)
 };
 
@@ -257,29 +265,44 @@ class EdgeLearnEnv {
  private:
   /// Everything the commit phase hands to the train and settle phases:
   /// the partially filled result (offline/screening/churn counts), the
-  /// promised market, and the training inputs derived from it. On an
-  /// overdraw `aborted` is set and nothing was debited.
+  /// round's decision batch (effective prices in its price column, the
+  /// promised market in the rest) with its aggregates, and the drawn
+  /// schedules. The training inputs live in `scratch_`. On an overdraw
+  /// `aborted` is set and nothing was debited.
   struct CommitOut {
     bool aborted = false;
     StepResult res;
-    std::vector<double> effective_prices;
-    sysmodel::RoundOutcome promised;
+    std::shared_ptr<sysmodel::DecisionBatch> batch;
+    sysmodel::RoundAggregates promised;
+    /// True when a fault or a deadline can move a node off its promised
+    /// time; scratch_.times then holds the realized times.
+    bool timed = false;
+    std::vector<adversary::AdversaryEvent> adv;  // empty unless active
+    std::vector<faults::FaultEvent> events;      // empty unless faults on
+    int planned_round = 0;   // round index the schedules were drawn for
+    double p_posted = 0.0;   // Σ raw posted prices (the exterior action)
+    double p_total = 0.0;    // Σ effective prices (the batch's price column)
+    double budget_checkpoint = 0.0;  // budget before the escrow debit
+  };
+
+  /// Per-participant columns of the round being played, aligned with
+  /// `participants`. Env-owned so their capacity carries over: after the
+  /// first rounds a step grows none of them.
+  struct RoundScratch {
     std::vector<int> participants;
     std::vector<double> weights;
     std::vector<fl::RoundDelivery> delivery;
-    /// Realized per-node times; empty when no fault or deadline can move
-    /// a node off its promised time.
-    std::vector<double> realized_times;
-    std::vector<adversary::AdversaryEvent> adv;  // empty unless active
-    int planned_round = 0;   // round index the schedules were drawn for
-    double p_posted = 0.0;   // Σ raw posted prices (the exterior action)
-    double budget_checkpoint = 0.0;  // budget before the escrow debit
+    std::vector<double> times;       // realized times (timed rounds only)
+    std::vector<std::uint8_t> paid;  // pay-on-delivery verdicts
+
+    void resize(std::size_t count);
   };
 
   /// One settled-but-unfinalized round: the pipeline's hand-off token.
   /// Record/metric inputs are captured at settle because the live members
   /// (budget, round index, clawback totals) may belong to round k+1 by
-  /// the time round k's record is written.
+  /// the time round k's record is written. The effective prices are the
+  /// price column of `res.outcome.nodes`.
   struct PendingRound {
     bool valid = false;
     bool eval_pending = false;  // a stage-thread eval fills res.accuracy
@@ -290,7 +313,6 @@ class EdgeLearnEnv {
     StepResult res;
     double p_total = 0.0;   // Σ effective (market) prices
     double p_posted = 0.0;  // Σ raw posted prices
-    std::vector<double> effective_prices;
     double budget_remaining = 0.0;
     double total_clawed_back = 0.0;
     double forfeited_total = 0.0;
@@ -306,12 +328,23 @@ class EdgeLearnEnv {
   CommitOut commit_round(const std::vector<double>& prices);
 
   /// Settle phase: pays on delivery (with audits while the adversary or
-  /// a defense is active), re-settles the budget from the commit
-  /// checkpoint (realized + forfeited leave; undelivered escrow returns),
-  /// pushes history and decides `done`. Returns the pending round; its
-  /// accuracy is final iff eval_pending is false.
+  /// a defense is active) by realizing the batch in place — realized
+  /// times written, unpaid payments zeroed — and re-aggregating it on the
+  /// plane, so every round sums in the plane's one chunk order. Then it
+  /// re-settles the budget from the commit checkpoint (realized +
+  /// forfeited leave; undelivered escrow returns), writes the history
+  /// block and decides `done`. Returns the pending round; its accuracy is
+  /// final iff eval_pending is false.
   PendingRound settle_round(CommitOut c, const fl::TolerantRoundReport& rep,
                             bool eval_pending);
+
+  /// A decision batch no StepResult or pending round still holds (the
+  /// pool keeps at most one such spare), else a new one.
+  std::shared_ptr<sysmodel::DecisionBatch> acquire_batch();
+
+  /// Writes the settled round's normalized (ζ, p, T) block into the
+  /// history ring, overwriting the oldest of the L blocks.
+  void record_history(const sysmodel::DecisionBatch& batch);
 
   /// The shared round body of step() and step_pipelined(): commit, train
   /// and settle round k into the returned pending round. On an overdraw
@@ -343,7 +376,6 @@ class EdgeLearnEnv {
   /// `p_total` is the effective (market) price sum, `p_posted` the raw
   /// posted action, `record_round` the 1-based round index to stamp.
   void emit_round(const StepResult& res, double p_total, double p_posted,
-                  const std::vector<double>& effective_prices,
                   double budget_remaining, double total_clawed_back,
                   double forfeited_total, int record_round);
 
@@ -353,10 +385,12 @@ class EdgeLearnEnv {
   /// Profiles as sampled at construction; reset() restores them so churn
   /// resamples from an identical market every episode.
   std::vector<sysmodel::DeviceProfile> base_devices_;
-  /// SoA economics plane over devices_ (the promised market of every
-  /// round; DESIGN.md §5.12) and its reusable per-round decision scratch.
+  /// SoA economics plane over devices_ (the market of every round;
+  /// DESIGN.md §5.12) and the pool of decision batches the rounds are
+  /// played in. A batch is free when only the pool holds it.
   std::unique_ptr<sysmodel::EconomicsPlane> plane_;
-  sysmodel::DecisionBatch batch_;
+  std::vector<std::shared_ptr<sysmodel::DecisionBatch>> batches_;
+  RoundScratch scratch_;
   std::unique_ptr<AccuracyBackend> backend_;
   std::unique_ptr<faults::FaultPlan> fault_plan_;
   std::unique_ptr<adversary::AdversaryPlan> adversary_plan_;
@@ -375,13 +409,12 @@ class EdgeLearnEnv {
   double total_clawed_back_ = 0.0;  // cumulative audited clawbacks (episode)
   double forfeited_total_ = 0.0;    // non-spendable forfeited ledger (episode)
   double escrow_outstanding_ = 0.0;  // committed, unsettled promised payment
-  // History ring (most recent last), each entry = one round's profile.
-  struct RoundProfile {
-    std::vector<double> zeta;
-    std::vector<double> price;
-    std::vector<double> time;
-  };
-  std::vector<RoundProfile> history_;
+  /// History ring of L blocks of 3N floats, each one settled round's
+  /// exterior-state block (ζ_i/ζ_hi, p_i/price_norm, T_i/time_norm per
+  /// node), normalized once when the round settles.
+  std::vector<float> history_;
+  int history_len_ = 0;   // blocks written this episode, at most L
+  int history_next_ = 0;  // block the next settled round overwrites
 
   PendingRound pending_;  // settled round awaiting finalize (pipeline mode)
   /// Stage thread for deferred evaluations; lazily created by the first

@@ -42,6 +42,11 @@ NodeDecision DecisionBatch::node(std::size_t i) const {
   return d;
 }
 
+const DecisionBatch& DecisionView::columns() const {
+  static const DecisionBatch kEmpty;
+  return batch_ ? *batch_ : kEmpty;
+}
+
 void DecisionBatch::set(std::size_t i, const NodeDecision& d) {
   participates[i] = d.participates ? 1 : 0;
   price[i] = d.price;
@@ -73,6 +78,7 @@ void EconomicsPlane::rebuild(const std::vector<DeviceProfile>& devices) {
   zeta_max_.resize(n);
   comm_time_.resize(n);
   reserve_.resize(n);
+  data_bits_.resize(n);
   for (std::size_t i = 0; i < n; ++i) set_device(i, devices[i]);
 }
 
@@ -94,6 +100,7 @@ void EconomicsPlane::set_device(std::size_t i, const DeviceProfile& d) {
   zeta_max_[i] = d.zeta_max;
   comm_time_[i] = d.comm_time;
   reserve_[i] = d.reserve_utility;
+  data_bits_[i] = d.data_bits;
 }
 
 void EconomicsPlane::best_response_batch(const std::vector<double>& prices,
@@ -104,6 +111,20 @@ void EconomicsPlane::best_response_batch(const std::vector<double>& prices,
   // chiron-hot-begin(econ-best-response)
   // chiron-lint: allow(AL1): DecisionBatch::resize reuses its columns' capacity
   out.resize(n);
+  // chiron-hot-end(econ-best-response)
+  best_response_into(prices.data(), out);
+}
+
+void EconomicsPlane::best_response_batch(DecisionBatch& batch) const {
+  CHIRON_CHECK_MSG(batch.size() == num_nodes(),
+                   "batch " << batch.size() << " vs plane " << num_nodes());
+  best_response_into(batch.price.data(), batch);
+}
+
+void EconomicsPlane::best_response_into(const double* prices,
+                                        DecisionBatch& out) const {
+  const std::size_t n = num_nodes();
+  // chiron-hot-begin(econ-best-response-pass)
   runtime::parallel_for(
       0, static_cast<std::int64_t>(n),
       [&](std::int64_t lo, std::int64_t hi) {
@@ -132,7 +153,7 @@ void EconomicsPlane::best_response_batch(const std::vector<double>& prices,
         }
       },
       kElementGrain);
-  // chiron-hot-end(econ-best-response)
+  // chiron-hot-end(econ-best-response-pass)
 }
 
 void EconomicsPlane::utility_batch(const std::vector<double>& prices,

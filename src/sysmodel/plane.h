@@ -34,9 +34,15 @@
 //     after the first round of an episode the steady state performs no
 //     heap allocation (aligned storage via runtime::AlignedAllocator,
 //     the PR 3 arena machinery).
+//   * A settled round is published as a `BatchOutcome`: its aggregates
+//     plus a `DecisionView` over the shared, immutable batch. Copying
+//     one is O(1); the per-node rows are materialized only when read.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "runtime/workspace.h"
@@ -89,6 +95,63 @@ struct RoundAggregates {
   double time_efficiency = 0.0;
 };
 
+/// Read-only view of one round's shared, immutable DecisionBatch. It reads
+/// like the scalar `RoundOutcome::nodes` vector — size(), empty(),
+/// operator[] and range-for — but each element is a NodeDecision
+/// materialized by value from the columns, so holding or copying the view
+/// never copies per-node data. An empty view (no batch) has size 0.
+class DecisionView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = NodeDecision;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = NodeDecision;
+
+    iterator() = default;
+    iterator(const DecisionBatch* batch, std::size_t i)
+        : batch_(batch), i_(i) {}
+    NodeDecision operator*() const { return batch_->node(i_); }
+    iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator before = *this;
+      ++i_;
+      return before;
+    }
+    bool operator==(const iterator& other) const { return i_ == other.i_; }
+
+   private:
+    const DecisionBatch* batch_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  DecisionView() = default;
+  explicit DecisionView(std::shared_ptr<const DecisionBatch> batch)
+      : batch_(std::move(batch)) {}
+
+  std::size_t size() const { return batch_ ? batch_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  NodeDecision operator[](std::size_t i) const { return batch_->node(i); }
+  iterator begin() const { return {batch_.get(), 0}; }
+  iterator end() const { return {batch_.get(), size()}; }
+
+  /// The columns themselves (an empty batch for an empty view).
+  const DecisionBatch& columns() const;
+
+ private:
+  std::shared_ptr<const DecisionBatch> batch_;
+};
+
+/// One round on the plane: the aggregates plus the per-node view.
+struct BatchOutcome : RoundAggregates {
+  DecisionView nodes;
+};
+
 class EconomicsPlane {
  public:
   /// Default reduction chunk. Any population up to this size reduces as
@@ -114,6 +177,11 @@ class EconomicsPlane {
   void best_response_batch(const std::vector<double>& prices,
                            DecisionBatch& out) const;
 
+  /// The same pass on prices already written to `batch.price` (the batch
+  /// sized to the plane): the caller fills the price column once and the
+  /// market runs on it in place, bit-identical to the vector overload.
+  void best_response_batch(DecisionBatch& batch) const;
+
   /// Batched Eqn (8): utilities[i] == utility_at(devices[i], prices[i],
   /// zetas[i], local_epochs), bit for bit.
   void utility_batch(const std::vector<double>& prices,
@@ -121,7 +189,11 @@ class EconomicsPlane {
                      std::vector<double>& utilities) const;
 
   /// Eqns (15)/(16) aggregates of a decision batch via the fixed-chunk
-  /// deterministic reduction described in the header comment.
+  /// deterministic reduction described in the header comment. Over a
+  /// realized batch (pay-on-delivery: unpaid payments zeroed, realized
+  /// times written in place) a single chunk reproduces
+  /// sysmodel::realize_round op for op — a zeroed payment adds +0.0,
+  /// which leaves the non-negative sum unchanged.
   RoundAggregates aggregate_round(const DecisionBatch& batch) const;
 
   /// Convenience: best response + aggregation + AoS materialization into
@@ -135,11 +207,18 @@ class EconomicsPlane {
   RoundOutcome to_outcome(const DecisionBatch& batch,
                           const RoundAggregates& agg) const;
 
+  /// d_i per node (bits per local epoch): the FedAvg data weights.
+  const Column& data_bits() const { return data_bits_; }
+
   std::size_t num_nodes() const { return k2_.size(); }
   int local_epochs() const { return local_epochs_; }
   std::size_t chunk_size() const { return chunk_; }
 
  private:
+  /// Shared body of both best_response_batch overloads; `prices` may
+  /// alias `out.price` (each lane reads its price before writing it).
+  void best_response_into(const double* prices, DecisionBatch& out) const;
+
   int local_epochs_ = 1;
   std::size_t chunk_ = kDefaultChunk;
   // Per-device constants, precomputed with the exact operation order of
@@ -153,6 +232,7 @@ class EconomicsPlane {
   Column zeta_max_;
   Column comm_time_;
   Column reserve_;
+  Column data_bits_;
 };
 
 }  // namespace chiron::sysmodel

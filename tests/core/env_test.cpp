@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "sysmodel/economics.h"
@@ -484,6 +486,239 @@ TEST(EdgeLearnEnv, ReportsLightweightDeliveries) {
   ASSERT_EQ(r.delivered, 6);
   EXPECT_EQ(r.lightweight, 4);
   expect_same_result(r, first_round_with_idle_deadline(c));
+}
+
+// --- Outcome snapshots, batch reuse and the history ring ------------------
+
+// A market under crashes, stragglers and a deadline, so settle realizes
+// rounds (stretched times, zeroed payments) instead of moving the
+// promised market through.
+EnvConfig faulty_config(int nodes) {
+  EnvConfig c;
+  c.num_nodes = nodes;
+  c.backend = BackendKind::kSurrogate;
+  c.budget = 1e6;
+  c.seed = 91;
+  c.faults.crash_prob = 0.2;
+  c.faults.straggler_prob = 0.3;
+  c.faults.seed = 93;
+  c.round_deadline = 40.0;
+  return c;
+}
+
+std::vector<double> scaled_caps(const EdgeLearnEnv& env, double scale) {
+  std::vector<double> p;
+  for (int i = 0; i < env.num_nodes(); ++i)
+    p.push_back(scale * env.per_node_price_cap(i));
+  return p;
+}
+
+// A deep copy of an outcome's per-node rows.
+std::vector<sysmodel::NodeDecision> node_rows(const StepResult& r) {
+  return {r.outcome.nodes.begin(), r.outcome.nodes.end()};
+}
+
+void expect_rows(const StepResult& r,
+                 const std::vector<sysmodel::NodeDecision>& want) {
+  ASSERT_EQ(r.outcome.nodes.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    const sysmodel::NodeDecision x = r.outcome.nodes[i];
+    EXPECT_EQ(x.participates, want[i].participates);
+    EXPECT_EQ(x.price, want[i].price);
+    EXPECT_EQ(x.zeta, want[i].zeta);
+    EXPECT_EQ(x.compute_time, want[i].compute_time);
+    EXPECT_EQ(x.comm_time, want[i].comm_time);
+    EXPECT_EQ(x.total_time, want[i].total_time);
+    EXPECT_EQ(x.compute_energy, want[i].compute_energy);
+    EXPECT_EQ(x.comm_energy, want[i].comm_energy);
+    EXPECT_EQ(x.utility, want[i].utility);
+    EXPECT_EQ(x.payment, want[i].payment);
+  }
+}
+
+TEST(EdgeLearnEnv, HeldResultKeepsItsNodesAcrossLaterSteps) {
+  EdgeLearnEnv env(faulty_config(48));
+  env.reset();
+  const StepResult held = env.step(scaled_caps(env, 0.4));
+  ASSERT_FALSE(held.aborted);
+  const std::vector<sysmodel::NodeDecision> rows = node_rows(held);
+  const StepResult copy = held;  // shares the batch
+  for (double scale : {0.7, 0.2, 0.9}) {
+    const StepResult later = env.step(scaled_caps(env, scale));
+    ASSERT_FALSE(later.aborted);
+    EXPECT_NE(later.outcome.nodes.columns().price.data(),
+              held.outcome.nodes.columns().price.data());
+  }
+  expect_rows(held, rows);
+  expect_rows(copy, rows);
+}
+
+TEST(EdgeLearnEnv, HeldPipelinedResultsKeepTheirNodes) {
+  // Every round's result stays readable while later rounds commit into
+  // other batches, whether it came back from step_pipelined or drain().
+  EdgeLearnEnv env(faulty_config(48));
+  env.reset();
+  std::vector<StepResult> held;
+  std::vector<std::vector<sysmodel::NodeDecision>> rows;
+  const auto keep = [&](const StepResult& r) {
+    held.push_back(r);
+    rows.push_back(node_rows(r));
+  };
+  for (double scale : {0.4, 0.7, 0.2, 0.9, 0.5}) {
+    const EdgeLearnEnv::PipelinedStep out =
+        env.step_pipelined(scaled_caps(env, scale));
+    ASSERT_FALSE(out.aborted);
+    if (out.prev_valid) keep(out.prev);
+  }
+  keep(env.drain());
+  ASSERT_EQ(held.size(), 5u);
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    SCOPED_TRACE("round " + std::to_string(k + 1));
+    expect_rows(held[k], rows[k]);
+  }
+}
+
+TEST(EdgeLearnEnv, DroppedResultsReuseTheOutcomeColumns) {
+  // Once no result holds a round's batch, the next round is played in it:
+  // the steady state allocates no N-sized outcome storage.
+  EdgeLearnEnv env(faulty_config(64));
+  env.reset();
+  const double* first = nullptr;
+  for (int k = 0; k < 4; ++k) {
+    const StepResult r = env.step(scaled_caps(env, 0.5));
+    ASSERT_FALSE(r.aborted);
+    const double* price = r.outcome.nodes.columns().price.data();
+    if (first == nullptr) first = price;
+    EXPECT_EQ(price, first) << "round " << k + 1;
+  }
+  // Holding only the latest result (r = env.step(...)) alternates between
+  // two batches.
+  std::set<const double*> seen;
+  StepResult r;
+  for (int k = 0; k < 6; ++k) {
+    r = env.step(scaled_caps(env, 0.5));
+    ASSERT_FALSE(r.aborted);
+    seen.insert(r.outcome.nodes.columns().price.data());
+  }
+  EXPECT_EQ(seen.size(), 2u);
+}
+
+// The exterior state rebuilt from the results of the last L rounds:
+// normalized ζ, p and T per node (zero blocks before L rounds ran), then
+// the budget and round fractions.
+std::vector<float> state_from_results(const EdgeLearnEnv& env,
+                                      const std::vector<StepResult>& last) {
+  const EnvConfig& c = env.config();
+  const double price_norm =
+      env.price_cap() / static_cast<double>(env.num_nodes());
+  std::vector<float> s(
+      static_cast<std::size_t>(c.history - static_cast<int>(last.size())) *
+          3 * static_cast<std::size_t>(c.num_nodes),
+      0.f);
+  for (const StepResult& r : last) {
+    for (const sysmodel::NodeDecision& nd : r.outcome.nodes) {
+      s.push_back(static_cast<float>(nd.zeta / c.population.zeta_max_hi));
+      s.push_back(static_cast<float>(nd.price / price_norm));
+      s.push_back(static_cast<float>(nd.total_time / c.time_norm));
+    }
+  }
+  s.push_back(static_cast<float>(env.budget_remaining() / c.budget));
+  s.push_back(static_cast<float>(static_cast<double>(env.round()) /
+                                 static_cast<double>(c.max_rounds)));
+  return s;
+}
+
+TEST(EdgeLearnEnv, ExteriorStateIsTheLastResultsRows) {
+  EnvConfig c = faulty_config(24);
+  c.history = 3;
+  c.node_availability = 0.8;  // offline nodes post a zero price
+  EdgeLearnEnv env(c);
+  for (int episode = 0; episode < 2; ++episode) {
+    std::vector<StepResult> last;
+    const std::vector<float> initial = env.reset();
+    EXPECT_EQ(initial, state_from_results(env, last));
+    for (double scale : {0.4, 0.7, 0.2, 0.9, 0.5}) {
+      const StepResult r = env.step(scaled_caps(env, scale));
+      ASSERT_FALSE(r.aborted);
+      last.push_back(r);
+      if (static_cast<int>(last.size()) > c.history) last.erase(last.begin());
+      const std::vector<float> want = state_from_results(env, last);
+      const std::vector<float> got = env.exterior_state();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "episode " << episode << " round "
+                                   << env.round() << " slot " << i;
+    }
+  }
+}
+
+// Plays faulty rounds at `nodes` and hands each realized result to
+// `check`; at least one round must have lost a delivery.
+template <class Check>
+void play_faulty_rounds(int nodes, Check check) {
+  EdgeLearnEnv env(faulty_config(nodes));
+  env.reset();
+  int realized = 0;
+  for (double scale : {0.4, 0.8, 0.3}) {
+    const StepResult r = env.step(scaled_caps(env, scale));
+    ASSERT_FALSE(r.aborted);
+    ASSERT_GT(r.participants, 0);
+    if (r.delivered < r.participants) ++realized;
+    check(env, r);
+  }
+  EXPECT_GT(realized, 0);
+}
+
+TEST(EdgeLearnEnv, LargeFaultyRoundsSumInThePlaneChunkOrder) {
+  // N = 8193 is two plane chunks: realized rounds reduce in the same
+  // chunk order as the promised market, not serially.
+  play_faulty_rounds(8193, [](const EdgeLearnEnv& env, const StepResult& r) {
+    const sysmodel::EconomicsPlane plane(env.devices(),
+                                         env.config().local_epochs);
+    const sysmodel::RoundAggregates agg =
+        plane.aggregate_round(r.outcome.nodes.columns());
+    EXPECT_EQ(r.participants, agg.participants);
+    EXPECT_EQ(r.round_time, agg.round_time);
+    EXPECT_EQ(r.payment, agg.total_payment);
+    EXPECT_EQ(r.idle_time, agg.idle_time);
+    EXPECT_EQ(r.time_efficiency, agg.time_efficiency);
+    EXPECT_EQ(r.outcome.total_energy, agg.total_energy);
+  });
+}
+
+TEST(EdgeLearnEnv, SingleChunkFaultyRoundsEqualScalarRealizeRound) {
+  // Up to one chunk (N <= 8192) settle replays the scalar pay-on-delivery
+  // oracle bit for bit.
+  for (int nodes : {16, 8192}) {
+    SCOPED_TRACE("nodes " + std::to_string(nodes));
+    play_faulty_rounds(nodes, [](const EdgeLearnEnv&, const StepResult& r) {
+      sysmodel::RoundOutcome realized;
+      realized.nodes = node_rows(r);
+      realized.participants = r.participants;
+      realized.total_energy = r.outcome.total_energy;
+      std::vector<double> times;
+      std::vector<bool> paid;
+      for (const sysmodel::NodeDecision& nd : realized.nodes) {
+        times.push_back(nd.total_time);
+        paid.push_back(nd.payment > 0.0);
+      }
+      const sysmodel::RoundOutcome want =
+          sysmodel::realize_round(realized, times, paid);
+      EXPECT_EQ(r.round_time, want.round_time);
+      EXPECT_EQ(r.payment, want.total_payment);
+      EXPECT_EQ(r.idle_time, want.idle_time);
+      EXPECT_EQ(r.time_efficiency, want.time_efficiency);
+      // The scalar aggregation of the realized rows agrees as well,
+      // energy included.
+      const sysmodel::RoundOutcome folded =
+          sysmodel::aggregate_round(node_rows(r));
+      EXPECT_EQ(r.participants, folded.participants);
+      EXPECT_EQ(r.payment, folded.total_payment);
+      EXPECT_EQ(r.idle_time, folded.idle_time);
+      EXPECT_EQ(r.outcome.total_energy, folded.total_energy);
+    });
+  }
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "runtime/runtime.h"
 #include "sysmodel/economics.h"
@@ -239,6 +242,114 @@ TEST(EconomicsPlane, RowUpdatesMatchScalar) {
       misreported_response(m.devices[2], m.prices[2], kSigma, 1.6);
   batch.set(2, patched);
   expect_node_eq(batch.node(2), patched, 2);
+}
+
+TEST(EconomicsPlane, InPlaceBestResponseBitEqualsVectorOverload) {
+  // The env writes the effective prices straight into the batch's price
+  // column and runs the market on it in place.
+  const TestMarket m = make_market(300, 71);
+  const EconomicsPlane plane(m.devices, kSigma);
+  DecisionBatch want;
+  plane.best_response_batch(m.prices, want);
+  DecisionBatch got;
+  got.resize(m.prices.size());
+  for (std::size_t i = 0; i < m.prices.size(); ++i) got.price[i] = m.prices[i];
+  plane.best_response_batch(got);
+  for (std::size_t i = 0; i < m.prices.size(); ++i)
+    expect_node_eq(got.node(i), want.node(i), static_cast<int>(i));
+  DecisionBatch wrong_size;
+  wrong_size.resize(3);
+  EXPECT_THROW(plane.best_response_batch(wrong_size), chiron::InvariantError);
+}
+
+TEST(EconomicsPlane, DecisionViewReadsTheSharedBatchByValue) {
+  const TestMarket m = make_market(40, 73);
+  const EconomicsPlane plane(m.devices, kSigma);
+  auto batch = std::make_shared<DecisionBatch>();
+  plane.best_response_batch(m.prices, *batch);
+  const DecisionView view(batch);
+  ASSERT_EQ(view.size(), batch->size());
+  EXPECT_FALSE(view.empty());
+  std::size_t i = 0;
+  for (const NodeDecision& nd : view) {
+    expect_node_eq(nd, batch->node(i), static_cast<int>(i));
+    expect_node_eq(view[i], batch->node(i), static_cast<int>(i));
+    ++i;
+  }
+  EXPECT_EQ(i, batch->size());
+  // A copy shares the columns instead of copying them.
+  const DecisionView copy = view;
+  EXPECT_EQ(copy.columns().price.data(), batch->price.data());
+  EXPECT_EQ(batch.use_count(), 3);
+
+  const DecisionView none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_TRUE(none.begin() == none.end());
+  EXPECT_EQ(none.columns().size(), 0u);
+}
+
+// Realizes a batch in place the way settle does — stretched times for
+// some participants, zeroed payments for the unpaid — and returns the
+// matching scalar inputs of realize_round.
+struct Realized {
+  std::vector<double> times;
+  std::vector<bool> paid;
+};
+
+Realized realize_in_place(DecisionBatch& batch) {
+  Realized r;
+  r.times.assign(batch.size(), 0.0);
+  r.paid.assign(batch.size(), false);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!batch.participates[i]) continue;
+    if (i % 3 == 0) batch.total_time[i] *= 1.7;  // straggler
+    r.times[i] = batch.total_time[i];
+    r.paid[i] = i % 4 != 1;  // every fourth participant crashed
+    if (!r.paid[i]) batch.payment[i] = 0.0;
+  }
+  return r;
+}
+
+TEST(EconomicsPlane, RealizedBatchAggregatesBitEqualRealizeRound) {
+  // Within one chunk, re-aggregating the realized columns replays
+  // realize_round op for op: a zeroed payment adds +0.0 to a
+  // non-negative sum, and energy and participation carry over.
+  const TestMarket m = make_market(513, 79);
+  const EconomicsPlane plane(m.devices, kSigma);
+  DecisionBatch batch;
+  const RoundOutcome promised = plane.run_round(m.prices, batch);
+  const Realized r = realize_in_place(batch);
+  const RoundAggregates got = plane.aggregate_round(batch);
+  const RoundOutcome want = realize_round(promised, r.times, r.paid);
+  ASSERT_GT(want.participants, 0);
+  ASSERT_LT(want.total_payment, promised.total_payment);
+  EXPECT_EQ(got.participants, want.participants);
+  EXPECT_EQ(got.round_time, want.round_time);
+  EXPECT_EQ(got.total_payment, want.total_payment);
+  EXPECT_EQ(got.total_energy, want.total_energy);
+  EXPECT_EQ(got.idle_time, want.idle_time);
+  EXPECT_EQ(got.time_efficiency, want.time_efficiency);
+}
+
+TEST(EconomicsPlane, RealizedMultiChunkAggregatesMatchRealizeRoundClosely) {
+  // Above one chunk the realized round sums in the plane's chunk order,
+  // the same order as the promised market — a reassociation of
+  // realize_round's serial sums.
+  const TestMarket m = make_market(203, 83);
+  const EconomicsPlane plane(m.devices, kSigma, /*chunk=*/16);
+  DecisionBatch batch;
+  const RoundOutcome promised = plane.run_round(m.prices, batch);
+  const Realized r = realize_in_place(batch);
+  const RoundAggregates got = plane.aggregate_round(batch);
+  const RoundOutcome want = realize_round(promised, r.times, r.paid);
+  EXPECT_EQ(got.participants, want.participants);
+  EXPECT_EQ(got.round_time, want.round_time);
+  EXPECT_NEAR(got.total_payment, want.total_payment,
+              1e-9 * std::abs(want.total_payment) + 1e-15);
+  EXPECT_NEAR(got.idle_time, want.idle_time,
+              1e-9 * std::abs(want.idle_time) + 1e-15);
+  EXPECT_NEAR(got.time_efficiency, want.time_efficiency, 1e-12);
 }
 
 }  // namespace
